@@ -1,0 +1,77 @@
+"""Byte-identity of CLI output against pinned sha256 digests.
+
+Refactors of the scheduler, oracle and CLI must not move a single output
+byte.  The cases cover groups cached at no edge node, both fronthaul modes,
+duplicate demands, finite-file simulation with fixed seeds, and a sweep CSV.
+A digest change here means a reported number or a schedule structure moved.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from fogndt.cli import main
+from fogndt.model import DemandVector, NetworkConfig
+from fogndt.oracle import execute_schedule
+from fogndt.placement import sample_placement
+from fogndt.scheduler import build_schedule
+
+CASES = {
+    "export_3x3": (
+        ["schedule-export", "--nt", "3", "--nr", "3", "--mut", "0.25", "--mur", "0.25", "--r", "4"],
+        "ea3ec2ac2beaf96990f0f1358f312af87d5f7aba0e4308952b554a6baf6f0278",
+    ),
+    "export_4x2": (
+        ["schedule-export", "--nt", "4", "--nr", "2", "--mut", "0.6", "--mur", "0.1", "--r", "50"],
+        "c262e3b5e2f642a26279a389eaa660c1a9bd31989bdd240e954b535cfd019767",
+    ),
+    "export_4x2_duplicate_demand": (
+        ["schedule-export", "--nt", "4", "--nr", "2", "--nfiles", "3", "--mut", "0.3",
+         "--mur", "0.4", "--r", "0.5", "--demand", "3,3"],
+        "c1bcbc4e75a2d65e26da627994ba12113970960e282b549a66d95832d3a92dbf",
+    ),
+    "simulate_2x2": (
+        ["simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+         "--file-bits", "3000", "--seed", "7"],
+        "285993ca9dddaa74ccbb0d2963f93222c43bebeae020811469aecf7baa613d28",
+    ),
+    "simulate_3x3": (
+        ["simulate", "--nt", "3", "--nr", "3", "--mut", "0.25", "--mur", "0.25", "--r", "4",
+         "--file-bits", "4000", "--seed", "11"],
+        "baa7e9e78acab08e3ed3bb2d5a89efcc0be46f47034e8e8ae7cc388a6cd74a26",
+    ),
+    "simulate_4x2_duplicate_demand": (
+        ["simulate", "--nt", "4", "--nr", "2", "--nfiles", "3", "--mut", "0.6", "--mur", "0.1",
+         "--r", "50", "--file-bits", "2000", "--seed", "3", "--demand", "2,2"],
+        "2d6478f04ade8fe777e7d11e1631165ede5f01bb5b56a15d616a276009140897",
+    ),
+    "sweep_r": (
+        ["sweep", "--nt", "2", "--nr", "5", "--mut", "0.5", "--mur", "0.2", "--r", "1",
+         "--axis", "r", "--values", "geom:0.01:1e9:25"],
+        "3713918885eebcfb8ef78dccedc46c388bef5374b73a24a81ff31da1634c2e1d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_digest(name, capsys):
+    argv, digest = CASES[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_payload_record_digest():
+    # Every materialized fronthaul and access payload of a small run, hex and
+    # all: both fronthaul modes and the bare full-cooperation messages of
+    # (m, 0) groups.
+    cfg = NetworkConfig(4, 2, 2, 0.6, 0.1, 50.0)
+    demand = DemandVector.distinct(cfg)
+    schedule = build_schedule(cfg, demand)
+    report = execute_schedule(sample_placement(cfg, 600, 5), demand, schedule, record_payloads=True)
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "256aa214cee36668069f686a202a5244f9e98323b3964777ca79e9c46616f372"
+    )
