@@ -11,10 +11,8 @@ from .bounds import (
 )
 from .dof import (
     DofContractError,
-    active_provider,
+    check_contract,
     per_user_dof_default,
-    register_provider,
-    reset_provider,
     table_provider_from_json,
 )
 from .model import (

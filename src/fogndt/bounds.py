@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dof import DofProvider, resolve_provider
+from .dof import DofProvider, per_user_dof_default
 from .model import NetworkConfig, binom, config_to_dict, validate_config
 from .scheduler import iter_group_terms
 
@@ -50,7 +50,7 @@ class BoundsReport:
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in fields)
 
 
-def ndt_upper(cfg: NetworkConfig, dof: DofProvider | None = None) -> float:
+def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Achievable delivery time: best cooperation choice summed over all groups."""
     total_f = 0.0
     total_a = 0.0
@@ -80,40 +80,37 @@ def ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     return best_f + best_a, best_l1, best_l2
 
 
-def gap(cfg: NetworkConfig, dof: DofProvider | None = None) -> float:
+def _gap_ratio(upper: float, lower: float) -> float:
     """Upper over lower bound; 1 when both vanish, +inf when only the lower does."""
-    upper = ndt_upper(cfg, dof)
-    lower, _, _ = ndt_lower(cfg)
     if lower > 0.0:
         return upper / lower
     return 1.0 if upper == 0.0 else math.inf
 
 
-def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider | None = None) -> float:
+def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
+    """Multiplicative gap between the achievable NDT and the converse bound."""
+    return _gap_ratio(ndt_upper(cfg, dof), ndt_lower(cfg)[0])
+
+
+def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
     validate_config(cfg)
-    dp = resolve_provider(dof)
     nr, nt = cfg.num_ues, cfg.num_ens
     mu_r = cfg.mu_r
     total = 0.0
     for m in range(nr):
-        total += binom(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dp(m, nt, cfg)
+        total += binom(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dof(m, nt, cfg)
     return total
 
 
-def bounds_report(cfg: NetworkConfig, dof: DofProvider | None = None) -> BoundsReport:
-    validate_config(cfg)
-    upper = ndt_upper(cfg, dof)
+def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> BoundsReport:
+    upper = ndt_upper(cfg, dof)  # validates cfg before any other work
     lower, l1, l2 = ndt_lower(cfg)
-    if lower > 0.0:
-        ratio = upper / lower
-    else:
-        ratio = 1.0 if upper == 0.0 else math.inf
     return BoundsReport(
         cfg=cfg,
         tau_upper=upper,
         tau_lower=lower,
-        gap=ratio,
+        gap=_gap_ratio(upper, lower),
         argmax_l1=l1,
         argmax_l2=l2,
         limit_inf_r=ndt_upper_limit_infinite_r(cfg, dof),

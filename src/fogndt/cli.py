@@ -37,7 +37,10 @@ def _config_from_args(args) -> NetworkConfig:
     values = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigError("config", f"configuration file must hold a JSON object: {args.config}")
+        values.update(doc)
     overrides = {
         "num_ens": args.nt,
         "num_ues": args.nr,
@@ -55,6 +58,12 @@ def _config_from_args(args) -> NetworkConfig:
     if missing:
         raise ConfigError(missing[0], f"missing configuration values: {', '.join(missing)}")
     return validate_config(config_from_dict(values))
+
+
+def _demand_from_args(args, cfg: NetworkConfig) -> DemandVector:
+    if args.demand is None:
+        return DemandVector.distinct(cfg)
+    return DemandVector(tuple(int(tok) for tok in args.demand.split(",") if tok)).validated(cfg)
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -111,11 +120,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    if args.demand is not None:
-        demand = DemandVector(tuple(int(tok) for tok in args.demand.split(",") if tok))
-        demand.validated(cfg)
-    else:
-        demand = DemandVector.distinct(cfg)
+    demand = _demand_from_args(args, cfg)
     placement = sample_placement(cfg, args.file_bits, args.seed)
     schedule = build_schedule(cfg, demand)
     try:
@@ -144,11 +149,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_schedule_export(args) -> int:
     cfg = _config_from_args(args)
-    if args.demand is not None:
-        demand = DemandVector(tuple(int(tok) for tok in args.demand.split(",") if tok))
-        demand.validated(cfg)
-    else:
-        demand = DemandVector.distinct(cfg)
+    demand = _demand_from_args(args, cfg)
     schedule = build_schedule(cfg, demand)
     _emit(json.dumps(schedule.to_json(), indent=2) + "\n", args.out)
     return 0
@@ -170,7 +171,7 @@ def _cmd_gap_scan(args) -> int:
             for mu_t in mu_values:
                 for mu_r in mu_values:
                     for r in r_values:
-                        cfg = validate_config(NetworkConfig(nt, nr, nr, mu_t, mu_r, r))
+                        cfg = NetworkConfig(nt, nr, nr, mu_t, mu_r, r)
                         report = bounds_mod.bounds_report(cfg)
                         degenerate = report.tau_lower == 0.0
                         if not degenerate:
@@ -178,11 +179,10 @@ def _cmd_gap_scan(args) -> int:
                                 worst = (report.gap, cfg)
                             if report.gap > 12.0:
                                 violated = True
-                        rows.append((report, degenerate))
-    rows.sort(key=lambda item: (-item[0].gap, item[0].to_csv_row()))
+                        rows.append((-report.gap, report.to_csv_row(), "1" if degenerate else "0"))
+    rows.sort()
     lines = [bounds_mod.CSV_HEADER + ",degenerate"]
-    for report, degenerate in rows:
-        lines.append(report.to_csv_row() + "," + ("1" if degenerate else "0"))
+    lines.extend(f"{row},{flag}" for _gap, row, flag in rows)
     _emit("\n".join(lines) + "\n", args.out)
     if worst[1] is not None:
         c = worst[1]

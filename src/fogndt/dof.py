@@ -5,7 +5,8 @@ of j edge nodes cooperatively serves every group of m+1 users.  The default
 is built only from safe anchors: the single-node cooperation closed form,
 the 1/2 floor when there are at least as many edge nodes as users, and full
 DoF at full cooperation in that same regime.  It is therefore a conservative
-lower bound; exact values from richer analyses can be registered instead.
+lower bound; exact values from richer analyses can be vetted with
+:func:`check_contract` and passed as ``dof=`` to any bound or scheduling call.
 """
 from __future__ import annotations
 
@@ -58,30 +59,6 @@ def check_contract(provider: DofProvider, configs: Sequence[NetworkConfig] | Non
                         f"dof decreases from {previous} to {d} in j at {where}"
                     )
                 previous = d
-
-
-_active_provider: DofProvider = per_user_dof_default
-
-
-def register_provider(provider: DofProvider, configs: Sequence[NetworkConfig] | None = None) -> DofProvider:
-    """Contract-check a provider, make it the active one, and return it."""
-    check_contract(provider, configs)
-    global _active_provider
-    _active_provider = provider
-    return provider
-
-
-def reset_provider() -> None:
-    global _active_provider
-    _active_provider = per_user_dof_default
-
-
-def active_provider() -> DofProvider:
-    return _active_provider
-
-
-def resolve_provider(provider: DofProvider | None) -> DofProvider:
-    return provider if provider is not None else _active_provider
 
 
 def table_provider_from_json(path, fallback: DofProvider = per_user_dof_default) -> DofProvider:

@@ -36,8 +36,12 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     """Return ``cfg`` unchanged if every field is legal, else raise ConfigError."""
     for name in ("num_ens", "num_ues", "num_files"):
         value = getattr(cfg, name)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is bool or not isinstance(value, int):
             raise ConfigError(name, f"{name} must be an integer, got {value!r}")
+    for name in ("mu_t", "mu_r", "fronthaul_r"):
+        value = getattr(cfg, name)
+        if type(value) is bool or not isinstance(value, (int, float)):
+            raise ConfigError(name, f"{name} must be a number, got {value!r}")
     if cfg.num_ens < 2:
         raise ConfigError("num_ens", f"num_ens below minimum: {cfg.num_ens} < 2")
     if cfg.num_ues < 2:

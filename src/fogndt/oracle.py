@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dof import DofProvider, resolve_provider
+from .dof import DofProvider, per_user_dof_default
 from .model import DemandVector, GroupIndex, NetworkConfig, binom
 from .placement import PlacementRealization
 from .scheduler import CODED_MULTICAST, DeliverySchedule, coop_sets_for
@@ -110,13 +110,8 @@ class DecodeReport:
 def _slice_bounds(length: int, pieces: int) -> list[tuple[int, int]]:
     """Split [0, length) into near-equal chunks; earlier chunks take the remainder."""
     base, rem = divmod(length, pieces)
-    bounds = []
-    start = 0
-    for k in range(pieces):
-        size = base + (1 if k < rem else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+    cuts = [k * base + min(k, rem) for k in range(pieces + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _padded_slice(bits: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -133,13 +128,14 @@ class _MessageData(NamedTuple):
     en_cache_set: tuple[int, ...]
     parts: list[np.ndarray]
     xor: np.ndarray
-    length: int
-    slice_of: dict[tuple[int, ...], tuple[int, int]]
-    coop_sets: list[tuple[int, ...]]
+    slice_of: dict[tuple[int, ...], tuple[int, int]]  # cooperation set -> its slice, in order
 
 
-def _hex(bits: np.ndarray) -> str:
-    return np.packbits(bits).tobytes().hex()
+def _record(records, channel, group, ue_group, coop, cache_sets, bits: np.ndarray) -> None:
+    """Keep one nonempty payload, hex-packed; ``records`` is None when payloads are not kept."""
+    if records is not None and bits.size:
+        hex_bits = np.packbits(bits).tobytes().hex()
+        records.append(PayloadRecord(channel, *group, ue_group, coop, cache_sets, hex_bits, bits.size))
 
 
 def execute_schedule(
@@ -168,7 +164,6 @@ def execute_schedule(
     padding_total = 0
     access_by_coop: dict[int, int] = {}
     per_group: dict[GroupIndex, GroupStats] = {}
-    tau_a_emp = 0.0
     records: list[PayloadRecord] = [] if record_payloads else None
 
     for group in sorted(schedule.groups):
@@ -179,8 +174,7 @@ def execute_schedule(
         # Materialize realized messages in lexicographic order.
         msg_data: list[_MessageData] = []
         msg_index: dict[tuple, _MessageData] = {}
-        pieces = binom(nt - n, plan.chosen_i) if n >= 1 else 1
-        full_set = tuple(range(1, nt + 1))
+        pieces = binom(nt - n, plan.chosen_i)
         for msg in plan.messages:
             parts = [
                 placement.cell_bits(lbl.file_id, lbl.cached_ues, lbl.cached_ens)
@@ -191,17 +185,9 @@ def execute_schedule(
             for p in parts:
                 xor[: p.size] ^= p
             padding_total += (m + 1) * length - sum(p.size for p in parts)
-            coops = coop_sets_for(msg.en_cache_set, plan.chosen_i, cfg) if n >= 1 else [full_set]
-            bounds = _slice_bounds(length, pieces)
-            data = _MessageData(
-                msg.ue_group,
-                msg.en_cache_set,
-                parts,
-                xor,
-                length,
-                dict(zip(coops, bounds)),
-                coops,
-            )
+            coops = coop_sets_for(msg.en_cache_set, plan.chosen_i, cfg)
+            slice_of = dict(zip(coops, _slice_bounds(length, pieces)))
+            data = _MessageData(msg.ue_group, msg.en_cache_set, parts, xor, slice_of)
             msg_data.append(data)
             msg_index[(msg.ue_group, msg.en_cache_set)] = data
 
@@ -210,16 +196,13 @@ def execute_schedule(
         naive_fh = 0
         coded_fh = 0
         if n == 0:
+            # Bare subfiles go out whole to all edge nodes: nothing is cached
+            # to combine against, so there is no coded-multicast count either.
             for data in msg_data:
-                naive_fh += data.length
-                group_fh += data.length
-                if record_payloads and data.length:
-                    records.append(
-                        PayloadRecord(
-                            "fronthaul", m, n, data.ue_group, full_set,
-                            (data.en_cache_set,), _hex(data.xor), data.length,
-                        )
-                    )
+                (full_set,) = data.slice_of
+                naive_fh += data.xor.size
+                group_fh += data.xor.size
+                _record(records, "fronthaul", group, data.ue_group, full_set, (data.en_cache_set,), data.xor)
         else:
             ue_groups = sorted({data.ue_group for data in msg_data})
             coded_mode = plan.mode == CODED_MULTICAST
@@ -231,13 +214,8 @@ def execute_schedule(
                         a, b = data.slice_of[coop]
                         slices[cache] = (data.xor[a:b], b - a)
                         naive_fh += b - a
-                        if not coded_mode and record_payloads and b > a:
-                            records.append(
-                                PayloadRecord(
-                                    "fronthaul", m, n, ue_group, coop,
-                                    (cache,), _hex(data.xor[a:b]), b - a,
-                                )
-                            )
+                        if not coded_mode:
+                            _record(records, "fronthaul", group, ue_group, coop, (cache,), data.xor[a:b])
                     for decode_set in itertools.combinations(coop, n + 1):
                         caches = list(itertools.combinations(decode_set, n))
                         payload_len = max(slices[c][1] for c in caches)
@@ -249,13 +227,7 @@ def execute_schedule(
                             piece, size = slices[c]
                             payload[:size] ^= piece
                             padding_total += payload_len - size
-                        if record_payloads and payload_len:
-                            records.append(
-                                PayloadRecord(
-                                    "fronthaul", m, n, ue_group, coop,
-                                    tuple(caches), _hex(payload), payload_len,
-                                )
-                            )
+                        _record(records, "fronthaul", group, ue_group, coop, tuple(caches), payload)
                         # Each edge node of the decode set cancels its n cached
                         # sub-messages and must recover exactly the missing one.
                         for p in decode_set:
@@ -270,30 +242,20 @@ def execute_schedule(
                                 raise DecodeFailure(
                                     ("en", p), (ue_group, target, coop), target
                                 )
-            if coded_mode:
-                group_fh = coded_fh
-            else:
-                group_fh = naive_fh
+            group_fh = coded_fh if coded_mode else naive_fh
         fronthaul_total += group_fh
 
         # Access hop: every sub-message slice is one multicast payload.
         loads = [0] * nr
         group_access = 0
         for data in msg_data:
-            for coop in data.coop_sets:
-                a, b = data.slice_of[coop]
+            for coop, (a, b) in data.slice_of.items():
                 size = b - a
                 if size == 0:
                     continue
                 group_access += size
                 payload = data.xor[a:b]
-                if record_payloads:
-                    records.append(
-                        PayloadRecord(
-                            "access", m, n, data.ue_group, coop,
-                            (data.en_cache_set,), _hex(payload), size,
-                        )
-                    )
+                _record(records, "access", group, data.ue_group, coop, (data.en_cache_set,), payload)
                 for pos, q in enumerate(data.ue_group):
                     loads[q - 1] += size
                     residual = payload.copy()
@@ -318,7 +280,6 @@ def execute_schedule(
                         covered[q - 1][idx[a:stop]] = True
         access_by_coop[coop_level] = access_by_coop.get(coop_level, 0) + group_access
         max_load = max(loads) if loads else 0
-        tau_a_emp += (max_load / file_size) / plan.dof_value
         per_group[group] = GroupStats(
             fronthaul_bits=group_fh,
             naive_fronthaul_bits=naive_fh,
@@ -330,7 +291,8 @@ def execute_schedule(
             chosen_i=plan.chosen_i,
         )
 
-    tau_f_emp = (fronthaul_total / file_size) / cfg.fronthaul_r
+    access = [(s.max_per_ue_access_bits, schedule.groups[g].dof_value) for g, s in per_group.items()]
+    tau_f_emp, tau_a_emp = _empirical_times(fronthaul_total, access, file_size, cfg.fronthaul_r)
     return DecodeReport(
         per_ue_success=tuple(bool(c.all()) for c in covered),
         fronthaul_bits=fronthaul_total,
@@ -350,15 +312,22 @@ def verify_decodability(report: DecodeReport) -> list[int]:
     return [q for q, ok in enumerate(report.per_ue_success, start=1) if not ok]
 
 
+def _empirical_times(fronthaul_bits: int, access, file_size: int, r: float) -> tuple[float, float]:
+    """Fronthaul and access times of realized loads; ``access`` holds, per group
+    in ascending (m, n) order, the busiest user's access bits and their DoF."""
+    tau_a = 0.0
+    for max_bits, d in access:
+        tau_a += (max_bits / file_size) / d
+    return (fronthaul_bits / file_size) / r, tau_a
+
+
 def empirical_ndt(
-    report: DecodeReport, cfg: NetworkConfig, dof: DofProvider | None = None
+    report: DecodeReport, cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
 ) -> tuple[float, float, float]:
     """Delivery times implied by realized loads under the given DoF provider."""
-    dp = resolve_provider(dof)
-    file_size = report.file_size_bits
-    tau_f = (report.fronthaul_bits / file_size) / cfg.fronthaul_r
-    tau_a = 0.0
-    for group in sorted(report.per_group):
-        stats = report.per_group[group]
-        tau_a += (stats.max_per_ue_access_bits / file_size) / dp(group.m, stats.coop_level, cfg)
+    access = [
+        (s.max_per_ue_access_bits, dof(g.m, s.coop_level, cfg))
+        for g, s in sorted(report.per_group.items())
+    ]
+    tau_f, tau_a = _empirical_times(report.fronthaul_bits, access, report.file_size_bits, cfg.fronthaul_r)
     return tau_f, tau_a, tau_f + tau_a

@@ -226,31 +226,63 @@ def placement_to_replay(p: PlacementRealization) -> dict:
 
 
 def placement_from_replay(doc: dict) -> PlacementRealization:
-    """Rebuild a realization from :func:`placement_to_replay` output."""
+    """Rebuild a realization from :func:`placement_to_replay` output.
+
+    Every bit of every file must be labelled exactly once: file ids are
+    exactly 1..num_files, and each cell's ranges are integer, ascending,
+    nonempty and inside the file.  Anything else raises ValueError.
+    """
     if doc.get("format") != REPLAY_FORMAT:
         raise ValueError(f"unsupported replay format: {doc.get('format')!r}")
     cfg = validate_config(config_from_dict(doc["config"]))
-    file_size_bits = doc["file_size_bits"]
+    size = doc["file_size_bits"]
+    if not type(size) is int or size < 1:
+        raise ValueError(f"file_size_bits must be a positive integer: {size!r}")
     seed = doc["seed"]
-    labels = np.zeros((cfg.num_files, file_size_bits), dtype=np.uint32)
+    labels = np.zeros((cfg.num_files, size), dtype=np.uint32)
+    seen: set[int] = set()
     for entry in doc["files"]:
-        f = entry["file"] - 1
-        covered = 0
+        file_id = entry["file"]
+        if not type(file_id) is int or not 1 <= file_id <= cfg.num_files or file_id in seen:
+            raise ValueError(f"file ids must be 1..{cfg.num_files}, each once; got {file_id!r}")
+        seen.add(file_id)
+        covered = np.zeros(size, dtype=bool)
         for cell in entry["cells"]:
+            if not all(type(node) is int for node in (*cell["ues"], *cell["ens"])):
+                raise ValueError(f"file {file_id}: node ids must be integers: {cell}")
             label = pack_label(cell["ues"], cell["ens"], cfg)
+            count = 0
+            previous_end = 0
             for start, end in cell["ranges"]:
-                labels[f, start:end] = label
-                covered += end - start
-        if covered != file_size_bits:
-            raise ValueError(f"cells of file {entry['file']} cover {covered} of {file_size_bits} bits")
+                if not (type(start) is int and type(end) is int) or not previous_end <= start < end <= size:
+                    where = f"file {file_id}: range {[start, end]}"
+                    raise ValueError(f"{where} not ascending inside [0, {size})")
+                if covered[start:end].any():
+                    raise ValueError(f"file {file_id}: range {[start, end]} overlaps another cell")
+                covered[start:end] = True
+                labels[file_id - 1, start:end] = label
+                count += end - start
+                previous_end = end
+            if cell["count"] != count:
+                raise ValueError(f"file {file_id}: cell count {cell['count']!r}, ranges hold {count}")
+        if not covered.all():
+            raise ValueError(f"cells of file {file_id} cover {int(covered.sum())} of {size} bits")
+    if len(seen) != cfg.num_files:
+        missing = sorted(set(range(1, cfg.num_files + 1)) - seen)
+        raise ValueError(f"replay has no entry for files {missing}")
     if seed is not None:
         content_ss, _ = np.random.SeedSequence(seed).spawn(2)
         file_bits = np.random.default_rng(content_ss).integers(
-            0, 2, size=(cfg.num_files, file_size_bits), dtype=np.uint8
+            0, 2, size=(cfg.num_files, size), dtype=np.uint8
         )
     else:
-        file_bits = np.empty((cfg.num_files, file_size_bits), dtype=np.uint8)
-        for f, blob in enumerate(doc["file_bits_hex"]):
+        blobs = doc["file_bits_hex"]
+        if len(blobs) != cfg.num_files:
+            raise ValueError(f"file_bits_hex holds {len(blobs)} files, expected {cfg.num_files}")
+        file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
+        for f, blob in enumerate(blobs):
             raw = np.frombuffer(bytes.fromhex(blob), dtype=np.uint8)
-            file_bits[f] = np.unpackbits(raw, count=file_size_bits)
-    return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
+            if raw.size != (size + 7) // 8:
+                raise ValueError(f"file_bits_hex of file {f + 1} holds {raw.size} bytes")
+            file_bits[f] = np.unpackbits(raw, count=size)
+    return PlacementRealization(cfg, size, seed, labels, file_bits)

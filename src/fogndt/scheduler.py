@@ -15,11 +15,12 @@ bound and a schedule breakdown agree bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .dof import DofProvider, resolve_provider
+from .dof import DofProvider, per_user_dof_default
 from .model import (
     DemandVector,
     GroupIndex,
@@ -115,6 +116,49 @@ def coded_messages_for_group(
     return messages
 
 
+def cooperation_increments(n: int, num_ens: int) -> range | tuple[int]:
+    """Admissible cooperation increments i of a group cached at n edge nodes.
+
+    A subfile cached at no edge node is fetched whole over the fronthaul and
+    sent by all edge nodes together: its only increment is num_ens, full
+    cooperation, and the general per-group rules apply to it unchanged.
+    """
+    return range(num_ens - n + 1) if n >= 1 else (num_ens,)
+
+
+def fronthaul_mode(n: int, i: int) -> str:
+    """Coded combining pays binom(n+i, n+1) payloads per (coop set, user group)
+    against binom(n+i, n) for one-by-one sending, so it wins exactly when i is at most n."""
+    return CODED_MULTICAST if i <= n else NAIVE_MULTICAST
+
+
+def _check_increment(group: GroupIndex, i: int, cfg: NetworkConfig) -> None:
+    if i not in cooperation_increments(group.n, cfg.num_ens):
+        raise ValueError(f"cooperation increment {i} not admissible for group {tuple(group)}")
+
+
+def _group_times(m: int, n: int, f: float, cfg: NetworkConfig, dof_row) -> list[tuple]:
+    """(total, i, load, tau_f, tau_a, d) for every admissible increment i of group (m, n).
+
+    ``load`` is the normalized fronthaul load, ``tau_f = load / r`` the
+    fronthaul time, and ``tau_a`` the access time at the per-user DoF
+    ``d = dof_row[n + i - 1]`` of cooperation level n + i.  Rows come in
+    ascending i, so ``min`` over them breaks total-time ties to smaller i.
+    """
+    nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
+    b_en = math.comb(nt, n)
+    b_load = math.comb(nr, m + 1) * b_en
+    access = math.comb(nr - 1, m) * b_en * f
+    rows = []
+    for i in cooperation_increments(n, nt):
+        load = b_load * min(1.0, i / (n + 1)) * f
+        d = dof_row[n + i - 1]
+        tau_f = load / r
+        tau_a = access / d
+        rows.append((tau_f + tau_a, i, load, tau_f, tau_a, d))
+    return rows
+
+
 def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> list[tuple[int, ...]]:
     """The binom(num_ens - n, i) supersets of size n + i, sorted lexicographically."""
     others = [p for p in range(1, cfg.num_ens + 1) if p not in en_cache_set]
@@ -129,10 +173,8 @@ def sub_messages_for_group(
     group: GroupIndex, i: int, messages: list[CodedMessage], cfg: NetworkConfig
 ) -> list[SubMessage]:
     """Split every message of a group into its cooperation-set sub-messages."""
-    m, n = group
-    if n < 1:
-        raise ValueError("sub-message splitting applies to groups cached at >= 1 edge node")
-    share = messages[0].size_fraction / binom(cfg.num_ens - n, i) if messages else 0.0
+    _check_increment(group, i, cfg)
+    share = messages[0].size_fraction / binom(cfg.num_ens - group.n, i) if messages else 0.0
     out = []
     for msg in messages:
         for coop in coop_sets_for(msg.en_cache_set, i, cfg):
@@ -141,47 +183,25 @@ def sub_messages_for_group(
 
 
 def group_ndt_candidates(
-    group: GroupIndex, cfg: NetworkConfig, dof: DofProvider | None = None
+    group: GroupIndex, cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
 ) -> dict[int, tuple[float, float]]:
-    """Fronthaul/access time pairs per cooperation increment i.
-
-    For n >= 1 the table covers i in [0, num_ens - n].  For n = 0 there is
-    no choice: the single entry, keyed by num_ens, is the naive-multicast,
-    full-cooperation delivery.
-    """
+    """Fronthaul/access time pairs per admissible cooperation increment i."""
     validate_config(cfg)
     validate_group(group, cfg)
-    dp = resolve_provider(dof)
     m, n = group
-    nt, r = cfg.num_ens, cfg.fronthaul_r
-    f = fractional_size(m, n, cfg)
-    b_msg = binom(cfg.num_ues, m + 1)
-    b_acc = binom(cfg.num_ues - 1, m)
-    if n == 0:
-        d = dp(m, nt, cfg)
-        return {nt: (b_msg * f / r, b_acc * f / d)}
-    b_en = binom(nt, n)
-    table = {}
-    for i in range(nt - n + 1):
-        d = dp(m, n + i, cfg)
-        tau_f = b_msg * b_en * min(1.0, i / (n + 1)) * f / r
-        tau_a = b_acc * b_en * f / d
-        table[i] = (tau_f, tau_a)
-    return table
+    dof_row = [dof(m, j, cfg) for j in range(1, cfg.num_ens + 1)]
+    rows = _group_times(m, n, fractional_size(m, n, cfg), cfg, dof_row)
+    return {i: (tau_f, tau_a) for _total, i, _load, tau_f, tau_a, _d in rows}
 
 
 def optimize_cooperation(
-    group: GroupIndex, cfg: NetworkConfig, dof: DofProvider | None = None
+    group: GroupIndex, cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
 ) -> tuple[int, float]:
     """Minimizing cooperation increment and its total time; ties go to smaller i."""
     if group.n < 1:
         raise ValueError("groups cached at no edge node have no cooperation choice")
-    best_i = -1
-    best = None
-    for i, (tau_f, tau_a) in group_ndt_candidates(group, cfg, dof).items():
-        total = tau_f + tau_a
-        if best is None or total < best:
-            best, best_i = total, i
+    candidates = group_ndt_candidates(group, cfg, dof).items()
+    best, best_i = min((tau_f + tau_a, i) for i, (tau_f, tau_a) in candidates)
     return best_i, best
 
 
@@ -190,44 +210,34 @@ def fronthaul_plan(
 ) -> FronthaulPlan:
     """Fronthaul transmissions for one group at cooperation increment i.
 
-    Coded combining pays binom(n+i, n+1) payloads per (coop set, user group)
-    against binom(n+i, n) for one-by-one sending, so it wins exactly when
-    i <= n.  At i = 0 every owning set already caches its sub-message and the
+    At i = 0 every owning set already caches its sub-message and the
     transmission list is empty.
     """
     validate_config(cfg)
     validate_group(group, cfg)
+    _check_increment(group, i, cfg)
     m, n = group
     nt = cfg.num_ens
-    f = fractional_size(m, n, cfg)
     ue_groups = list(itertools.combinations(range(1, cfg.num_ues + 1), m + 1))
-    if n == 0:
-        full = tuple(range(1, nt + 1))
-        transmissions = tuple(
-            FronthaulTransmission(ue_group, full, ((),)) for ue_group in ue_groups
-        )
-        return FronthaulPlan(NAIVE_MULTICAST, transmissions, binom(cfg.num_ues, m + 1) * f)
-    if not 0 <= i <= nt - n:
-        raise ValueError(f"cooperation increment outside [0, {nt - n}]: {i}")
     if len(messages) != len(ue_groups) * binom(nt, n):
         raise ValueError("message list does not match the group")
-    mode = CODED_MULTICAST if i <= n else NAIVE_MULTICAST
+    mode = fronthaul_mode(n, i)
     transmissions = []
     for coop in itertools.combinations(range(1, nt + 1), n + i):
+        if mode == NAIVE_MULTICAST:
+            payloads = [(cache,) for cache in itertools.combinations(coop, n)]
+        else:
+            payloads = [tuple(itertools.combinations(d, n)) for d in itertools.combinations(coop, n + 1)]
         for ue_group in ue_groups:
-            if mode == NAIVE_MULTICAST:
-                for cache in itertools.combinations(coop, n):
-                    transmissions.append(FronthaulTransmission(ue_group, coop, (cache,)))
-            else:
-                for decode_set in itertools.combinations(coop, n + 1):
-                    cache_sets = tuple(itertools.combinations(decode_set, n))
-                    transmissions.append(FronthaulTransmission(ue_group, coop, cache_sets))
-    load = binom(cfg.num_ues, m + 1) * binom(nt, n) * min(1.0, i / (n + 1)) * f
+            transmissions.extend(FronthaulTransmission(ue_group, coop, c) for c in payloads)
+    # Loads do not depend on the DoF, so any DoF row serves here.
+    rows = _group_times(m, n, fractional_size(m, n, cfg), cfg, (1.0,) * nt)
+    load = next(row[2] for row in rows if row[1] == i)
     return FronthaulPlan(mode, tuple(transmissions), load)
 
 
 def iter_group_terms(
-    cfg: NetworkConfig, dof: DofProvider | None = None
+    cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
 ) -> Iterator[tuple[GroupIndex, float, int, float, float, float]]:
     """Yield (group, f, chosen_i, tau_f, tau_a, dof_value) in ascending (m, n) order.
 
@@ -236,37 +246,20 @@ def iter_group_terms(
     bound, which keeps the two bit-identical.
     """
     validate_config(cfg)
-    dp = resolve_provider(dof)
-    nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
+    nt, nr = cfg.num_ens, cfg.num_ues
     mu_r, mu_t = cfg.mu_r, cfg.mu_t
     pow_mr = [mu_r ** k for k in range(nr + 1)]
     pow_qr = [(1.0 - mu_r) ** k for k in range(nr + 1)]
     pow_mt = [mu_t ** k for k in range(nt + 1)]
     pow_qt = [(1.0 - mu_t) ** k for k in range(nt + 1)]
-    dof_rows = [[dp(m, j, cfg) for j in range(1, nt + 1)] for m in range(nr)]
     for m in range(nr):
-        b_msg = binom(nr, m + 1)
-        b_acc = binom(nr - 1, m)
-        dof_row = dof_rows[m]
+        dof_row = [dof(m, j, cfg) for j in range(1, nt + 1)]
         ue_part = pow_mr[m] * pow_qr[nr - m]
         for n in range(nt + 1):
             f = ue_part * pow_mt[n] * pow_qt[nt - n]
             if f == 0.0:
                 continue
-            if n == 0:
-                d = dof_row[nt - 1]
-                yield GroupIndex(m, 0), f, nt, b_msg * f / r, b_acc * f / d, d
-                continue
-            b_en = binom(nt, n)
-            best = None
-            for i in range(nt - n + 1):
-                d = dof_row[n + i - 1]
-                tau_f = b_msg * b_en * min(1.0, i / (n + 1)) * f / r
-                tau_a = b_acc * b_en * f / d
-                total = tau_f + tau_a
-                if best is None or total < best[0]:
-                    best = (total, i, tau_f, tau_a, d)
-            _, i_star, tau_f, tau_a, d = best
+            _total, i_star, _load, tau_f, tau_a, d = min(_group_times(m, n, f, cfg, dof_row))
             yield GroupIndex(m, n), f, i_star, tau_f, tau_a, d
 
 
@@ -286,7 +279,6 @@ class GroupPlan:
 
     @property
     def coop_level(self) -> int:
-        # For n = 0 groups chosen_i equals num_ens, encoding full cooperation.
         return self.index.n + self.chosen_i
 
     @cached_property
@@ -295,20 +287,13 @@ class GroupPlan:
 
     @cached_property
     def sub_messages(self) -> tuple[SubMessage, ...]:
-        if self.index.n == 0:
-            full = tuple(range(1, self.cfg.num_ens + 1))
-            return tuple(
-                SubMessage(msg.ue_group, msg.en_cache_set, full, msg.size_fraction)
-                for msg in self.messages
-            )
         return tuple(
             sub_messages_for_group(self.index, self.chosen_i, list(self.messages), self.cfg)
         )
 
     @cached_property
     def fronthaul(self) -> FronthaulPlan:
-        i = self.chosen_i if self.index.n >= 1 else 0
-        return fronthaul_plan(self.index, i, list(self.messages), self.cfg)
+        return fronthaul_plan(self.index, self.chosen_i, list(self.messages), self.cfg)
 
     def access_assignment(self) -> dict[tuple[int, ...], tuple[SubMessage, ...]]:
         """Sub-messages grouped by the edge-node set that transmits them."""
@@ -380,7 +365,7 @@ class DeliverySchedule:
 def build_schedule(
     cfg: NetworkConfig,
     demand: DemandVector | None = None,
-    dof: DofProvider | None = None,
+    dof: DofProvider = per_user_dof_default,
 ) -> DeliverySchedule:
     """Assemble the full two-hop schedule over all nonempty groups."""
     validate_config(cfg)
@@ -388,14 +373,10 @@ def build_schedule(
     plans: dict[GroupIndex, GroupPlan] = {}
     terms = []
     for group, f, i_star, tau_f, tau_a, d in iter_group_terms(cfg, dof):
-        if group.n == 0:
-            mode = NAIVE_MULTICAST
-        else:
-            mode = CODED_MULTICAST if i_star <= group.n else NAIVE_MULTICAST
         plans[group] = GroupPlan(
             index=group,
             chosen_i=i_star,
-            mode=mode,
+            mode=fronthaul_mode(group.n, i_star),
             size_fraction=f,
             tau_f=tau_f,
             tau_a=tau_a,

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogndt.bounds import CSV_HEADER, bounds_report, gap
 from fogndt.cli import main
@@ -77,6 +83,69 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     code, out, _ = _run(capsys, "bounds", "--config", str(path), "--r", "2", "--format", "csv")
     assert code == 0
     assert out.strip().split("\n")[1] == bounds_report(make_cfg(r=2.0)).to_csv_row()
+
+
+_VALID_DOC = {"num_ens": 2, "num_ues": 2, "num_files": 2, "mu_t": 0.5, "mu_r": 0.5, "fronthaul_r": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_VALID_DOC, "mu_t": "0.5"},
+        {**_VALID_DOC, "mu_t": True},
+        {**_VALID_DOC, "mu_r": None},
+        {**_VALID_DOC, "fronthaul_r": [1.0]},
+        [1, 2],
+        "config",
+        None,
+    ],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, "bounds", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 7)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(0.0, 1.0)
+    | st.text(max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_CONFIG_DOCS = (
+    _JSON_VALUES
+    | st.dictionaries(st.sampled_from(sorted(_VALID_DOC)), _JSON_VALUES)
+    | st.dictionaries(
+        st.sampled_from(sorted(_VALID_DOC)),
+        st.integers(2, 6) | st.floats(0.0, 1.0) | _JSON_VALUES,
+        max_size=2,
+    ).map(lambda changes: {**_VALID_DOC, **changes})
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_CONFIG_DOCS)
+def test_fuzzed_config_file_exits_0_or_2(doc):
+    """Any JSON document as a config file gives exit 0 or 2, never a traceback.
+
+    Integers stay within [-3, 7] so that shapes stay small: a size guard for
+    huge shapes is a separate, still open item, and without it a huge shape
+    is merely slow, not malformed.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["bounds", "--config", str(path), "--out", str(Path(tmp) / "out.json")]) in (0, 2)
 
 
 def test_sweep_single_point_equals_bounds(capsys):

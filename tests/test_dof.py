@@ -4,23 +4,10 @@ import json
 
 import pytest
 
-from fogndt.dof import (
-    DofContractError,
-    active_provider,
-    check_contract,
-    per_user_dof_default,
-    register_provider,
-    reset_provider,
-    resolve_provider,
-    table_provider_from_json,
-)
+from fogndt import check_contract
+from fogndt.dof import DofContractError, per_user_dof_default, table_provider_from_json
+from fogndt.scheduler import build_schedule
 from conftest import make_cfg
-
-
-@pytest.fixture(autouse=True)
-def _restore_registry():
-    yield
-    reset_provider()
 
 
 def test_full_cooperation_square_network():
@@ -64,17 +51,23 @@ def test_default_satisfies_contract_everywhere():
     check_contract(per_user_dof_default, configs)
 
 
+# A provider is put to use by vetting it with check_contract and then passing
+# it as dof= to the bound and scheduling functions.
+
+
 def test_register_accepts_constant_one():
-    provider = register_provider(lambda m, j, cfg: 1.0)
-    assert active_provider() is provider
-    assert resolve_provider(None) is provider
+    def provider(m, j, cfg):
+        return 1.0
+
+    check_contract(provider)
+    schedule = build_schedule(make_cfg(nt=3, nr=3), dof=provider)
+    assert {plan.dof_value for plan in schedule.groups.values()} == {1.0}
 
 
 def test_register_rejects_zero():
     with pytest.raises(DofContractError) as err:
-        register_provider(lambda m, j, cfg: 0.0)
+        check_contract(lambda m, j, cfg: 0.0)
     assert "(0, 1]" in str(err.value)
-    assert active_provider() is per_user_dof_default
 
 
 def test_register_rejects_non_monotone():
@@ -82,14 +75,8 @@ def test_register_rejects_non_monotone():
         return 1.0 if j == 1 else 0.5
 
     with pytest.raises(DofContractError) as err:
-        register_provider(wobble)
+        check_contract(wobble)
     assert "j=2" in str(err.value)
-
-
-def test_reset_restores_default():
-    register_provider(lambda m, j, cfg: 1.0)
-    reset_provider()
-    assert active_provider() is per_user_dof_default
 
 
 def test_table_provider_from_json(tmp_path):

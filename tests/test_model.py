@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +78,14 @@ def test_validate_config_rejects_small_library():
 def test_validate_config_names_offending_field(kw, field):
     with pytest.raises(ConfigError) as err:
         validate_config(make_cfg(**kw))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5]])
+@pytest.mark.parametrize("field", ["mu_t", "mu_r", "fronthaul_r"])
+def test_validate_config_rejects_non_numeric(field, value):
+    with pytest.raises(ConfigError) as err:
+        validate_config(replace(make_cfg(), **{field: value}))
     assert err.value.field == field
 
 

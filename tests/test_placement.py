@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogndt.model import GroupIndex, binom
@@ -194,3 +195,126 @@ def test_replay_round_trip_manual_bits():
 def test_replay_rejects_unknown_format():
     with pytest.raises(ValueError):
         placement_from_replay({"format": "bogus"})
+
+
+def _replay_doc():
+    cfg = make_cfg(nt=2, nr=2, mu_t=0.5, mu_r=0.5, nfiles=3)
+    return placement_to_replay(sample_placement(cfg, 64, seed=5))
+
+
+def _first_multi_range_cell(doc):
+    return next(c for c in doc["files"][0]["cells"] if len(c["ranges"]) >= 2)
+
+
+def test_replay_rejects_overlap_that_keeps_length_sum():
+    # Shifting a range one bit left overlaps its neighbour by one bit and
+    # leaves one bit unlabelled, but keeps the summed lengths unchanged.
+    doc = _replay_doc()
+    cells = doc["files"][0]["cells"]
+    cell = next(c for c in cells if c["ranges"][0][0] > 0)
+    cell["ranges"][0] = [cell["ranges"][0][0] - 1, cell["ranges"][0][1] - 1]
+    with pytest.raises(ValueError, match="overlaps|ascending"):
+        placement_from_replay(doc)
+
+
+def test_replay_rejects_range_past_the_end():
+    doc = _replay_doc()
+    cell = doc["files"][1]["cells"][0]
+    cell["ranges"].append([64, 66])
+    cell["count"] += 2
+    with pytest.raises(ValueError, match="inside"):
+        placement_from_replay(doc)
+
+
+def test_replay_rejects_file_id_zero():
+    doc = _replay_doc()
+    doc["files"][0]["file"] = 0
+    with pytest.raises(ValueError, match="file ids"):
+        placement_from_replay(doc)
+
+
+def test_replay_rejects_duplicate_file_id():
+    doc = _replay_doc()
+    doc["files"][0]["file"] = 2
+    with pytest.raises(ValueError, match="file ids"):
+        placement_from_replay(doc)
+
+
+def test_replay_rejects_missing_file_entry():
+    doc = _replay_doc()
+    del doc["files"][2]
+    with pytest.raises(ValueError, match="no entry for files \\[3\\]"):
+        placement_from_replay(doc)
+
+
+def test_replay_rejects_descending_ranges():
+    doc = _replay_doc()
+    cell = _first_multi_range_cell(doc)
+    cell["ranges"].reverse()
+    with pytest.raises(ValueError, match="ascending"):
+        placement_from_replay(doc)
+
+
+def test_replay_rejects_short_content_blob():
+    cfg = make_cfg(nt=2, nr=2, nfiles=2)
+    p = sample_placement(cfg, 64, seed=11)
+    doc = placement_to_replay(type(p)(cfg, p.file_size_bits, None, p.bit_labels, p.file_bits))
+    doc["file_bits_hex"][1] = doc["file_bits_hex"][1][:-2]
+    with pytest.raises(ValueError, match="file_bits_hex"):
+        placement_from_replay(doc)
+
+
+def _corrupt(doc, data):
+    """Apply one random corruption to a replay doc in place.
+
+    Relabelling a cell with another valid node set keeps the doc consistent
+    and cannot be detected, so node ids are only ever made invalid.
+    """
+    files = doc["files"]
+    kind = data.draw(
+        st.sampled_from(
+            ["range_end", "range_start", "file_id", "drop_file", "drop_cell", "drop_range",
+             "dup_range", "count", "size", "bad_node", "non_int"]
+        )
+    )
+    entry = data.draw(st.sampled_from(files))
+    cell = data.draw(st.sampled_from(entry["cells"]))
+    k = data.draw(st.integers(0, len(cell["ranges"]) - 1))
+    delta = data.draw(st.integers(-3, 3))
+    if kind == "range_end":
+        cell["ranges"][k][1] += delta
+    elif kind == "range_start":
+        cell["ranges"][k][0] += delta
+    elif kind == "file_id":
+        entry["file"] += delta
+    elif kind == "drop_file":
+        files.remove(entry)
+    elif kind == "drop_cell":
+        entry["cells"].remove(cell)
+    elif kind == "drop_range":
+        cell["count"] -= cell["ranges"][k][1] - cell["ranges"][k][0]
+        del cell["ranges"][k]
+    elif kind == "dup_range":
+        cell["ranges"].insert(k, list(cell["ranges"][k]))
+        cell["count"] += cell["ranges"][k][1] - cell["ranges"][k][0]
+    elif kind == "count":
+        cell["count"] += delta
+    elif kind == "size":
+        doc["file_size_bits"] += delta
+    elif kind == "bad_node":
+        cell["ens"] = cell["ens"] + [data.draw(st.sampled_from([-1, 0, 3, 99]))]
+    else:
+        cell["ranges"][k][0] = data.draw(st.sampled_from([0.5, "0", None, True]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_replay_raises_or_loads_identical_labels(data):
+    original = _replay_doc()
+    doc = copy.deepcopy(original)
+    _corrupt(doc, data)
+    try:
+        loaded = placement_from_replay(doc)
+    except ValueError:
+        return
+    assert np.array_equal(loaded.bit_labels, placement_from_replay(original).bit_labels)

@@ -113,9 +113,7 @@ def test_candidates_match_group_terms_bitwise():
         make_cfg(nt=5, nr=2, mu_t=0.64, mu_r=0.11, r=13.0),
     ):
         for group, f, i_star, tau_f, tau_a, _d in iter_group_terms(cfg):
-            table = group_ndt_candidates(group, cfg)
-            key = i_star if group.n >= 1 else cfg.num_ens
-            assert table[key] == (tau_f, tau_a)
+            assert group_ndt_candidates(group, cfg)[i_star] == (tau_f, tau_a)
 
 
 def test_optimize_prefers_no_fronthaul_when_r_tiny():
@@ -207,11 +205,14 @@ def test_fronthaul_n0_multicasts_every_message():
     cfg = make_cfg(nt=3, nr=2, mu_t=0.4, mu_r=0.4)
     demand = DemandVector.distinct(cfg)
     msgs = coded_messages_for_group(GroupIndex(0, 0), cfg, demand)
-    plan = fronthaul_plan(GroupIndex(0, 0), 0, msgs, cfg)
+    plan = fronthaul_plan(GroupIndex(0, 0), cfg.num_ens, msgs, cfg)
     assert plan.mode == NAIVE_MULTICAST
     assert len(plan.transmissions) == len(msgs)
     assert all(tx.coop_set == (1, 2, 3) for tx in plan.transmissions)
     assert plan.normalized_load == math.comb(2, 1) * msgs[0].size_fraction
+    # Full cooperation is the only admissible increment of an uncached group.
+    with pytest.raises(ValueError):
+        fronthaul_plan(GroupIndex(0, 0), 0, msgs, cfg)
 
 
 def test_schedule_empty_when_users_cache_everything():
@@ -321,8 +322,7 @@ def test_sub_message_counts_in_schedule():
     for g, plan in schedule.groups.items():
         expected_msgs = math.comb(3, g.m + 1) * math.comb(3, g.n)
         assert len(plan.messages) == expected_msgs
-        if g.n >= 1:
-            per_msg = math.comb(3 - g.n, plan.chosen_i)
-            assert len(plan.sub_messages) == expected_msgs * per_msg
+        per_msg = math.comb(3 - g.n, plan.chosen_i)
+        assert len(plan.sub_messages) == expected_msgs * per_msg
         assignment = plan.access_assignment()
         assert sum(len(v) for v in assignment.values()) == len(plan.sub_messages)
