@@ -34,10 +34,8 @@ from .oracle import (
 )
 from .placement import (
     PlacementRealization,
-    SubfilePartition,
     empirical_fractions,
     fractional_size,
-    partition_file,
     placement_from_replay,
     placement_to_replay,
     sample_placement,
@@ -51,8 +49,6 @@ from .scheduler import (
     build_schedule,
     coded_messages_for_group,
     fronthaul_plan,
-    group_ndt_candidates,
-    optimize_cooperation,
 )
 
 __version__ = "0.1.0"

@@ -61,18 +61,33 @@ def check_contract(provider: DofProvider, configs: Sequence[NetworkConfig] | Non
                 previous = d
 
 
+_TABLE_KEYS = ("m", "j", "n_t", "n_r")
+
+
 def table_provider_from_json(path, fallback: DofProvider = per_user_dof_default) -> DofProvider:
     """Build a provider from a JSON table of {m, j, n_t, n_r, d} entries.
 
     Pairs missing from the table fall back to ``fallback``, so partial tables
-    (for one network shape, say) stay usable everywhere else.
+    (for one network shape, say) stay usable everywhere else.  Every shape the
+    table names is vetted with :func:`check_contract`; malformed entries raise
+    DofContractError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise DofContractError("a DoF table is a JSON object with an 'entries' list")
     table: dict[tuple[int, int, int, int], float] = {}
-    for entry in doc["entries"]:
-        key = (entry["m"], entry["j"], entry["n_t"], entry["n_r"])
-        table[key] = float(entry["d"])
+    for entry in entries:
+        if not isinstance(entry, dict) or set(entry) != {*_TABLE_KEYS, "d"}:
+            raise DofContractError(f"DoF table entry needs exactly the keys m, j, n_t, n_r, d: {entry!r}")
+        key = m, j, nt, nr = tuple(entry[k] for k in _TABLE_KEYS)
+        d = entry["d"]
+        if not all(type(v) is int for v in key) or type(d) not in (int, float):
+            raise DofContractError(f"DoF table entry with non-numeric fields: {entry!r}")
+        if not (nt >= 2 and nr >= 2 and 0 <= m < nr and 1 <= j <= nt and 0 < d <= 1) or key in table:
+            raise DofContractError(f"DoF table entry out of range or repeated: {entry!r}")
+        table[key] = float(d)
 
     def provider(m: int, j: int, cfg: NetworkConfig) -> float:
         value = table.get((m, j, cfg.num_ens, cfg.num_ues))
@@ -80,4 +95,6 @@ def table_provider_from_json(path, fallback: DofProvider = per_user_dof_default)
             return fallback(m, j, cfg)
         return value
 
+    shapes = sorted({(nt, nr) for _m, _j, nt, nr in table})
+    check_contract(provider, [NetworkConfig(nt, nr, nr, 0.5, 0.5, 1.0) for nt, nr in shapes])
     return provider

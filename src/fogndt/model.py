@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -108,13 +108,6 @@ def validate_group(group: GroupIndex, cfg: NetworkConfig) -> GroupIndex:
     if not 0 <= n <= cfg.num_ens:
         raise ValueError(f"group n outside [0, {cfg.num_ens}]: {n}")
     return group
-
-
-def delivery_groups(cfg: NetworkConfig) -> Iterator[GroupIndex]:
-    """All delivery groups in ascending (m, n) order."""
-    for m in range(cfg.num_ues):
-        for n in range(cfg.num_ens + 1):
-            yield GroupIndex(m, n)
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,15 @@ scheme or accounting bug, never noise.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dof import DofProvider, per_user_dof_default
-from .model import DemandVector, GroupIndex, NetworkConfig, binom
+from .model import DemandVector, GroupIndex, NetworkConfig
 from .placement import PlacementRealization
-from .scheduler import CODED_MULTICAST, DeliverySchedule, coop_sets_for
+from .scheduler import CODED_MULTICAST, DeliverySchedule, fronthaul_payloads
 
 
 class DecodeFailure(Exception):
@@ -123,12 +122,14 @@ def _padded_slice(bits: np.ndarray, start: int, end: int) -> np.ndarray:
     return out
 
 
-class _MessageData(NamedTuple):
-    ue_group: tuple[int, ...]
-    en_cache_set: tuple[int, ...]
-    parts: list[np.ndarray]
-    xor: np.ndarray
-    slice_of: dict[tuple[int, ...], tuple[int, int]]  # cooperation set -> its slice, in order
+class _SubSlice(NamedTuple):
+    parts: list[np.ndarray]  # the message's realized constituents
+    start: int
+    end: int
+    bits: np.ndarray  # this slice of the message's XOR
+
+
+_ABSENT = _SubSlice([], 0, 0, np.empty(0, dtype=np.uint8))
 
 
 def _record(records, channel, group, ue_group, coop, cache_sets, bits: np.ndarray) -> None:
@@ -151,7 +152,7 @@ def execute_schedule(
     if demand != schedule.demand:
         raise ValueError("demand does not match the one the schedule was built for")
     demand.validated(cfg)
-    nr, nt = cfg.num_ues, cfg.num_ens
+    nr = cfg.num_ues
     file_size = placement.file_size_bits
 
     # Bits each user already holds of its own demanded file.
@@ -171,11 +172,11 @@ def execute_schedule(
         m, n = group
         coop_level = plan.coop_level
 
-        # Materialize realized messages in lexicographic order.
-        msg_data: list[_MessageData] = []
-        msg_index: dict[tuple, _MessageData] = {}
-        pieces = binom(nt - n, plan.chosen_i)
-        for msg in plan.messages:
+        # Materialize realized messages; each sub-message owns one slice of
+        # its message, keyed by (user group, cache set, cooperation set).
+        subs: dict[tuple, _SubSlice] = {}
+        naive_fh = 0
+        for msg, block in plan.message_blocks():
             parts = [
                 placement.cell_bits(lbl.file_id, lbl.cached_ues, lbl.cached_ens)
                 for lbl in msg.constituents
@@ -185,99 +186,78 @@ def execute_schedule(
             for p in parts:
                 xor[: p.size] ^= p
             padding_total += (m + 1) * length - sum(p.size for p in parts)
-            coops = coop_sets_for(msg.en_cache_set, plan.chosen_i, cfg)
-            slice_of = dict(zip(coops, _slice_bounds(length, pieces)))
-            data = _MessageData(msg.ue_group, msg.en_cache_set, parts, xor, slice_of)
-            msg_data.append(data)
-            msg_index[(msg.ue_group, msg.en_cache_set)] = data
+            naive_fh += length
+            for sub, (a, b) in zip(block, _slice_bounds(length, len(block))):
+                subs[(msg.ue_group, msg.en_cache_set, sub.coop_set)] = _SubSlice(parts, a, b, xor[a:b])
 
-        # Fronthaul hop.
+        # Fronthaul hop: each payload XORs the sub-messages its cache sets
+        # name.  An edge node of the cooperation set decodes a payload when it
+        # caches all of them but one, and must recover exactly that one.
         group_fh = 0
-        naive_fh = 0
-        coded_fh = 0
-        if n == 0:
-            # Bare subfiles go out whole to all edge nodes: nothing is cached
-            # to combine against, so there is no coded-multicast count either.
-            for data in msg_data:
-                (full_set,) = data.slice_of
-                naive_fh += data.xor.size
-                group_fh += data.xor.size
-                _record(records, "fronthaul", group, data.ue_group, full_set, (data.en_cache_set,), data.xor)
-        else:
-            ue_groups = sorted({data.ue_group for data in msg_data})
-            coded_mode = plan.mode == CODED_MULTICAST
-            for coop in itertools.combinations(range(1, nt + 1), coop_level):
-                for ue_group in ue_groups:
-                    slices = {}
-                    for cache in itertools.combinations(coop, n):
-                        data = msg_index[(ue_group, cache)]
-                        a, b = data.slice_of[coop]
-                        slices[cache] = (data.xor[a:b], b - a)
-                        naive_fh += b - a
-                        if not coded_mode:
-                            _record(records, "fronthaul", group, ue_group, coop, (cache,), data.xor[a:b])
-                    for decode_set in itertools.combinations(coop, n + 1):
-                        caches = list(itertools.combinations(decode_set, n))
-                        payload_len = max(slices[c][1] for c in caches)
-                        coded_fh += payload_len
-                        if not coded_mode:
-                            continue
-                        payload = np.zeros(payload_len, dtype=np.uint8)
-                        for c in caches:
-                            piece, size = slices[c]
-                            payload[:size] ^= piece
-                            padding_total += payload_len - size
-                        _record(records, "fronthaul", group, ue_group, coop, tuple(caches), payload)
-                        # Each edge node of the decode set cancels its n cached
-                        # sub-messages and must recover exactly the missing one.
-                        for p in decode_set:
-                            target = tuple(x for x in decode_set if x != p)
-                            residual = payload.copy()
-                            for c in caches:
-                                if p in c:
-                                    piece, size = slices[c]
-                                    residual[:size] ^= piece
-                            truth, size = slices[target]
-                            if not np.array_equal(residual[:size], truth) or residual[size:].any():
-                                raise DecodeFailure(
-                                    ("en", p), (ue_group, target, coop), target
-                                )
-            group_fh = coded_fh if coded_mode else naive_fh
+        decoded: dict[tuple, set[int]] = {}
+        for tx in plan.fronthaul.transmissions:
+            keys = [(tx.ue_group, cache, tx.coop_set) for cache in tx.cache_sets]
+            pieces = [subs.get(key, _ABSENT).bits for key in keys]
+            payload_len = max((piece.size for piece in pieces), default=0)
+            payload = np.zeros(payload_len, dtype=np.uint8)
+            for piece in pieces:
+                payload[: piece.size] ^= piece
+                padding_total += payload_len - piece.size
+            group_fh += payload_len
+            _record(records, "fronthaul", group, tx.ue_group, tx.coop_set, tx.cache_sets, payload)
+            decoders: dict[int, list[int]] = {}
+            for p in tx.coop_set:
+                unknown = [k for k, cache in enumerate(tx.cache_sets) if p not in cache]
+                if len(unknown) == 1:
+                    decoders.setdefault(unknown[0], []).append(p)
+            for k, ens in decoders.items():
+                residual = payload.copy()
+                for j, piece in enumerate(pieces):
+                    if j != k:
+                        residual[: piece.size] ^= piece
+                # The target, zero-padded to the payload length.
+                truth = pieces[k].tobytes().ljust(payload_len, b"\0")
+                if keys[k] not in subs or residual.tobytes() != truth:
+                    raise DecodeFailure(("en", ens[0]), keys[k], tx.cache_sets[k])
+                decoded.setdefault(keys[k], set()).update(ens)
+        # Every edge node of a cooperation set now holds each sub-message it sends.
+        for key in subs:
+            _, cache, coop = key
+            missing = set(coop).difference(cache, decoded.get(key, ()))
+            if missing:
+                raise DecodeFailure(("en", min(missing)), key, cache)
         fronthaul_total += group_fh
+        coded_fh = group_fh
+        if plan.mode != CODED_MULTICAST:
+            # The coded-multicast cost of the same sub-messages (0 at n = 0).
+            coded_fh = 0
+            for ue_group, coop in dict.fromkeys((ue_group, coop) for ue_group, _, coop in subs):
+                for caches in fronthaul_payloads(coop, n, CODED_MULTICAST):
+                    coded_fh += max(subs.get((ue_group, c, coop), _ABSENT).bits.size for c in caches)
 
         # Access hop: every sub-message slice is one multicast payload.
         loads = [0] * nr
         group_access = 0
-        for data in msg_data:
-            for coop, (a, b) in data.slice_of.items():
-                size = b - a
-                if size == 0:
-                    continue
-                group_access += size
-                payload = data.xor[a:b]
-                _record(records, "access", group, data.ue_group, coop, (data.en_cache_set,), payload)
-                for pos, q in enumerate(data.ue_group):
-                    loads[q - 1] += size
-                    residual = payload.copy()
-                    for other, part in enumerate(data.parts):
-                        if other != pos:
-                            residual ^= _padded_slice(part, a, b)
-                    want = data.parts[pos]
-                    if not np.array_equal(residual, _padded_slice(want, a, b)):
-                        raise DecodeFailure(
-                            ("ue", q),
-                            (data.ue_group, data.en_cache_set, coop),
-                            (q, tuple(u for u in data.ue_group if u != q), data.en_cache_set),
-                        )
-                    # Mark the recovered stretch of the demanded file as covered.
-                    idx = placement.cell_indices(
-                        demand.demands[q - 1],
-                        tuple(u for u in data.ue_group if u != q),
-                        data.en_cache_set,
-                    )
-                    stop = min(b, idx.size)
-                    if stop > a:
-                        covered[q - 1][idx[a:stop]] = True
+        for (ue_group, cache, coop), (parts, a, b, payload) in subs.items():
+            size = b - a
+            if size == 0:
+                continue
+            group_access += size
+            _record(records, "access", group, ue_group, coop, (cache,), payload)
+            for pos, q in enumerate(ue_group):
+                loads[q - 1] += size
+                residual = payload.copy()
+                for other, part in enumerate(parts):
+                    if other != pos:
+                        residual ^= _padded_slice(part, a, b)
+                cached_ues = tuple(u for u in ue_group if u != q)
+                if not np.array_equal(residual, _padded_slice(parts[pos], a, b)):
+                    raise DecodeFailure(("ue", q), (ue_group, cache, coop), (q, cached_ues, cache))
+                # Mark the recovered stretch of the demanded file as covered.
+                idx = placement.cell_indices(demand.demands[q - 1], cached_ues, cache)
+                stop = min(b, idx.size)
+                if stop > a:
+                    covered[q - 1][idx[a:stop]] = True
         access_by_coop[coop_level] = access_by_coop.get(coop_level, 0) + group_access
         max_load = max(loads) if loads else 0
         per_group[group] = GroupStats(

@@ -137,24 +137,6 @@ def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> Plac
     return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
 
 
-@dataclass(frozen=True)
-class SubfilePartition:
-    """All nonempty cells of one file, keyed by (user set, edge-node set)."""
-
-    file_id: int
-    cells: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray]
-
-
-def partition_file(p: PlacementRealization, file_id: int) -> SubfilePartition:
-    """Group the bits of one file by identical cache label."""
-    if not 1 <= file_id <= p.cfg.num_files:
-        raise ValueError(f"unknown file id: {file_id}")
-    cells = {
-        unpack_label(label, p.cfg): idx for label, idx in p._cells[file_id - 1].items()
-    }
-    return SubfilePartition(file_id, cells)
-
-
 def empirical_fractions(p: PlacementRealization) -> dict[GroupIndex, float]:
     """Average realized cell fraction per (m, n), one entry per possible size pair.
 

@@ -172,42 +172,36 @@ def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> 
 def sub_messages_for_group(
     group: GroupIndex, i: int, messages: list[CodedMessage], cfg: NetworkConfig
 ) -> list[SubMessage]:
-    """Split every message of a group into its cooperation-set sub-messages."""
+    """Split every message of a group into its cooperation-set sub-messages,
+    message-major: one block of binom(num_ens - n, i) per message."""
     _check_increment(group, i, cfg)
     share = messages[0].size_fraction / binom(cfg.num_ens - group.n, i) if messages else 0.0
+    coops_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     out = []
     for msg in messages:
-        for coop in coop_sets_for(msg.en_cache_set, i, cfg):
-            out.append(SubMessage(msg.ue_group, msg.en_cache_set, coop, share))
+        coops = coops_of.get(msg.en_cache_set)
+        if coops is None:
+            coops = coops_of[msg.en_cache_set] = coop_sets_for(msg.en_cache_set, i, cfg)
+        out.extend(SubMessage(msg.ue_group, msg.en_cache_set, coop, share) for coop in coops)
     return out
 
 
-def group_ndt_candidates(
-    group: GroupIndex, cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
-) -> dict[int, tuple[float, float]]:
-    """Fronthaul/access time pairs per admissible cooperation increment i."""
-    validate_config(cfg)
-    validate_group(group, cfg)
-    m, n = group
-    dof_row = [dof(m, j, cfg) for j in range(1, cfg.num_ens + 1)]
-    rows = _group_times(m, n, fractional_size(m, n, cfg), cfg, dof_row)
-    return {i: (tau_f, tau_a) for _total, i, _load, tau_f, tau_a, _d in rows}
+def fronthaul_payloads(coop: tuple[int, ...], n: int, mode: str) -> list[tuple[tuple[int, ...], ...]]:
+    """Cache-set lists of the payloads cooperation set ``coop`` receives per user group.
+
+    Naive multicast sends the sub-message of each n-subset of ``coop`` alone;
+    coded multicast XORs the n-subsets of each (n+1)-subset.  A group cached
+    at no edge node has nothing to combine against, so at n = 0 coded
+    multicast has no payloads.
+    """
+    if mode == NAIVE_MULTICAST:
+        return [(cache,) for cache in itertools.combinations(coop, n)]
+    if n == 0:
+        return []
+    return [tuple(itertools.combinations(d, n)) for d in itertools.combinations(coop, n + 1)]
 
 
-def optimize_cooperation(
-    group: GroupIndex, cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
-) -> tuple[int, float]:
-    """Minimizing cooperation increment and its total time; ties go to smaller i."""
-    if group.n < 1:
-        raise ValueError("groups cached at no edge node have no cooperation choice")
-    candidates = group_ndt_candidates(group, cfg, dof).items()
-    best, best_i = min((tau_f + tau_a, i) for i, (tau_f, tau_a) in candidates)
-    return best_i, best
-
-
-def fronthaul_plan(
-    group: GroupIndex, i: int, messages: list[CodedMessage], cfg: NetworkConfig
-) -> FronthaulPlan:
+def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> FronthaulPlan:
     """Fronthaul transmissions for one group at cooperation increment i.
 
     At i = 0 every owning set already caches its sub-message and the
@@ -219,15 +213,10 @@ def fronthaul_plan(
     m, n = group
     nt = cfg.num_ens
     ue_groups = list(itertools.combinations(range(1, cfg.num_ues + 1), m + 1))
-    if len(messages) != len(ue_groups) * binom(nt, n):
-        raise ValueError("message list does not match the group")
     mode = fronthaul_mode(n, i)
     transmissions = []
     for coop in itertools.combinations(range(1, nt + 1), n + i):
-        if mode == NAIVE_MULTICAST:
-            payloads = [(cache,) for cache in itertools.combinations(coop, n)]
-        else:
-            payloads = [tuple(itertools.combinations(d, n)) for d in itertools.combinations(coop, n + 1)]
+        payloads = fronthaul_payloads(coop, n, mode)
         for ue_group in ue_groups:
             transmissions.extend(FronthaulTransmission(ue_group, coop, c) for c in payloads)
     # Loads do not depend on the DoF, so any DoF row serves here.
@@ -293,14 +282,18 @@ class GroupPlan:
 
     @cached_property
     def fronthaul(self) -> FronthaulPlan:
-        return fronthaul_plan(self.index, self.chosen_i, list(self.messages), self.cfg)
+        return fronthaul_plan(self.index, self.chosen_i, self.cfg)
 
-    def access_assignment(self) -> dict[tuple[int, ...], tuple[SubMessage, ...]]:
-        """Sub-messages grouped by the edge-node set that transmits them."""
-        assignment: dict[tuple[int, ...], list[SubMessage]] = {}
-        for sub in self.sub_messages:
-            assignment.setdefault(sub.coop_set, []).append(sub)
-        return {coop: tuple(subs) for coop, subs in assignment.items()}
+    def message_blocks(self) -> Iterator[tuple[CodedMessage, tuple[SubMessage, ...]]]:
+        """Each message with its own sub-messages, which ``sub_messages`` lists
+        message-major in contiguous blocks of binom(num_ens - n, i)."""
+        per = binom(self.cfg.num_ens - self.index.n, self.chosen_i)
+        subs = self.sub_messages
+        owners = [(s.ue_group, s.en_cache_set) for s in subs]
+        if owners != [(msg.ue_group, msg.en_cache_set) for msg in self.messages for _ in range(per)]:
+            raise ValueError(f"sub-messages do not split the {len(self.messages)} messages {per} ways in order")
+        for k, msg in enumerate(self.messages):
+            yield msg, subs[k * per : (k + 1) * per]
 
 
 @dataclass(frozen=True)
@@ -332,14 +325,9 @@ class DeliverySchedule:
                         {
                             "ue_group": list(msg.ue_group),
                             "en_cache_set": list(msg.en_cache_set),
-                            "sub_messages": [
-                                {"coop_set": list(sub.coop_set)}
-                                for sub in plan.sub_messages
-                                if sub.ue_group == msg.ue_group
-                                and sub.en_cache_set == msg.en_cache_set
-                            ],
+                            "sub_messages": [{"coop_set": list(sub.coop_set)} for sub in block],
                         }
-                        for msg in plan.messages
+                        for msg, block in plan.message_blocks()
                     ],
                     "fronthaul_transmissions": [
                         {

@@ -79,15 +79,46 @@ def test_register_rejects_non_monotone():
     assert "j=2" in str(err.value)
 
 
-def test_table_provider_from_json(tmp_path):
+def _write_table(tmp_path, doc):
     path = tmp_path / "dof.json"
-    path.write_text(
-        json.dumps({"entries": [{"m": 0, "j": 1, "n_t": 2, "n_r": 5, "d": 0.4}]}),
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_table_provider_from_json(tmp_path):
+    # The 2x5 default is 1/3 at every j for m = 0, so 0.4 at j = 2 stays monotone.
+    path = _write_table(tmp_path, {"entries": [{"m": 0, "j": 2, "n_t": 2, "n_r": 5, "d": 0.4}]})
     provider = table_provider_from_json(path)
     cfg = make_cfg(nt=2, nr=5)
-    assert provider(0, 1, cfg) == 0.4
+    assert provider(0, 2, cfg) == 0.4
     # Entries missing from the table fall back to the default anchors.
+    assert provider(0, 1, cfg) == per_user_dof_default(0, 1, cfg)
     assert provider(1, 1, cfg) == per_user_dof_default(1, 1, cfg)
     assert provider(0, 1, make_cfg(nt=3, nr=3)) == per_user_dof_default(0, 1, make_cfg(nt=3, nr=3))
+
+
+def test_table_provider_vets_the_contract(tmp_path):
+    # 0.4 at j = 1 then the default 1/3 at j = 2 decreases in j.
+    path = _write_table(tmp_path, {"entries": [{"m": 0, "j": 1, "n_t": 2, "n_r": 5, "d": 0.4}]})
+    with pytest.raises(DofContractError) as err:
+        table_provider_from_json(path)
+    assert "j=2, n_t=2, n_r=5" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"rows": []},
+        {"entries": [{"m": 0, "j": 2, "n_t": 2, "d": 0.4}]},
+        {"entries": [{"m": 0, "j": 2, "n_t": 2, "n_r": 5, "d": True}]},
+        {"entries": [{"m": 0, "j": 2, "n_t": 2, "n_r": 5, "d": "0.4"}]},
+        {"entries": [{"m": 0, "j": 2.0, "n_t": 2, "n_r": 5, "d": 0.4}]},
+        {"entries": [{"m": 5, "j": 2, "n_t": 2, "n_r": 5, "d": 0.4}]},
+        {"entries": [{"m": 0, "j": 2, "n_t": 2, "n_r": 5, "d": 10 ** 400}]},
+        {"entries": [{"m": 0, "j": 2, "n_t": 2, "n_r": 5, "d": 0.4}] * 2},
+    ],
+)
+def test_table_provider_rejects_malformed_entries(tmp_path, doc):
+    with pytest.raises(DofContractError):
+        table_provider_from_json(_write_table(tmp_path, doc))

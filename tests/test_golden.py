@@ -75,3 +75,21 @@ def test_payload_record_digest():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "256aa214cee36668069f686a202a5244f9e98323b3964777ca79e9c46616f372"
     )
+
+
+def test_split_sub_message_digest():
+    # The default DoF only ever picks i = 0 or full cooperation, so every
+    # message above is one sub-message.  This step DoF splits group (0, 1)
+    # six ways (naive fronthaul, i = 2) and group (0, 2) three ways (coded,
+    # i = 1); the digest covers the schedule JSON and every payload record.
+    def step(m, j, cfg):
+        return 1.0 if j >= 3 else 0.3
+
+    cfg = NetworkConfig(5, 2, 2, 0.5, 0.25, 10.0)
+    demand = DemandVector.distinct(cfg)
+    schedule = build_schedule(cfg, demand, dof=step)
+    report = execute_schedule(sample_placement(cfg, 600, 5), demand, schedule, record_payloads=True)
+    text = json.dumps([schedule.to_json(), report.to_dict()], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "80e31a6468dd60ed300b2fe65112f22459ab6cbc19498040ce35eed679628968"
+    )

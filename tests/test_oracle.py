@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fogndt.model import DemandVector, GroupIndex, config_from_dict
 from fogndt.oracle import (
+    DecodeFailure,
     DecodeReport,
     empirical_ndt,
     execute_schedule,
@@ -209,3 +211,49 @@ def test_golden_micro_loads_match_hand_computation():
     assert report.per_group[GroupIndex(1, 1)].max_per_ue_access_bits == 2
     assert report.per_group[GroupIndex(1, 1)].fronthaul_bits == 0
     assert report.per_group[GroupIndex(1, 1)].naive_fronthaul_bits == 2
+
+
+# Fault injection: the oracle reads the plan's own structure, so a wrong plan
+# must surface as a decode failure.  At this 3x2 shape the increasing DoF
+# gives group (1, 1) coded fronthaul at i = 1, group (0, 0) naive fronthaul
+# at full cooperation and group (0, 1) no fronthaul at i = 0.
+def _faulty_run(edit_group, edit):
+    cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
+    schedule = build_schedule(cfg, dof=lambda m, j, c: 0.5 + 0.5 * j / c.num_ens)
+    plan = schedule.groups[edit_group]
+    edit(plan)
+    return execute_schedule(sample_placement(cfg, 4000, seed=5), schedule.demand, schedule)
+
+
+def _edit_transmissions(change):
+    def edit(plan):
+        fronthaul = plan.fronthaul
+        vars(plan)["fronthaul"] = replace(fronthaul, transmissions=change(list(fronthaul.transmissions)))
+
+    return edit
+
+
+def test_wrong_cache_set_fails_at_an_edge_node():
+    def wrong(txs):
+        assert txs[0].cache_sets == ((1,), (2,))
+        return (replace(txs[0], cache_sets=((1,), (3,))), *txs[1:])
+
+    with pytest.raises(DecodeFailure) as err:
+        _faulty_run(GroupIndex(1, 1), _edit_transmissions(wrong))
+    assert err.value.node == ("en", 1)
+
+
+@pytest.mark.parametrize("group", [GroupIndex(0, 0), GroupIndex(1, 1)])
+def test_dropped_transmission_fails_at_an_edge_node(group):
+    with pytest.raises(DecodeFailure) as err:
+        _faulty_run(group, _edit_transmissions(lambda txs: tuple(txs[1:])))
+    assert err.value.node[0] == "en"
+
+
+def test_dropped_message_leaves_its_user_undecoded():
+    def drop_first(plan):
+        assert plan.chosen_i == 0 and plan.messages[0].ue_group == (1,)
+        vars(plan)["messages"] = plan.messages[1:]
+
+    report = _faulty_run(GroupIndex(0, 1), drop_first)
+    assert verify_decodability(report) == [1]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from fogndt.placement import (
     empirical_fractions,
     fractional_size,
     pack_label,
-    partition_file,
     placement_from_replay,
     placement_to_replay,
     sample_placement,
@@ -97,6 +97,16 @@ def test_sample_rejects_bad_sizes():
         sample_placement(make_cfg(), 0, seed=1)
 
 
+def _subsets(ids):
+    return [c for k in range(len(ids) + 1) for c in itertools.combinations(ids, k)]
+
+
+def _all_cells(p, file_id):
+    """Bit positions of every possible label of one file."""
+    users, ens = range(1, p.cfg.num_ues + 1), range(1, p.cfg.num_ens + 1)
+    return [p.cell_indices(file_id, u, e) for u in _subsets(users) for e in _subsets(ens)]
+
+
 def test_cell_concentration_2x2():
     # Every realized cell fraction within the binomial three-sigma band.
     cfg = make_cfg(nt=2, nr=2, mu_t=0.5, mu_r=0.5)
@@ -105,10 +115,9 @@ def test_cell_concentration_2x2():
     f = 1 / 16
     band = 3 * math.sqrt(f * (1 - f) / F)
     for file_id in (1, 2):
-        part = partition_file(p, file_id)
-        sizes = {key: idx.size for key, idx in part.cells.items()}
-        assert len(sizes) == 16
-        for count in sizes.values():
+        sizes = [idx.size for idx in _all_cells(p, file_id)]
+        assert len(sizes) == 16 and all(sizes)
+        for count in sizes:
             assert abs(count / F - f) <= band
 
 
@@ -116,21 +125,19 @@ def test_partition_covers_every_bit():
     cfg = make_cfg(nt=2, nr=3, mu_t=0.3, mu_r=0.6, nfiles=3)
     p = sample_placement(cfg, 4096, seed=5)
     for file_id in range(1, 4):
-        part = partition_file(p, file_id)
-        merged = np.sort(np.concatenate(list(part.cells.values())))
+        merged = np.sort(np.concatenate(_all_cells(p, file_id)))
         assert np.array_equal(merged, np.arange(4096))
     with pytest.raises(ValueError):
-        partition_file(p, 4)
+        p.cell_indices(4, (), ())
 
 
 def test_partition_degenerate_caches():
     empty = sample_placement(make_cfg(mu_t=0.0, mu_r=0.0), 128, seed=3)
-    part = partition_file(empty, 1)
-    assert list(part.cells) == [((), ())]
-    assert part.cells[((), ())].size == 128
+    (cell,) = placement_to_replay(empty)["files"][0]["cells"]
+    assert cell == {"ues": [], "ens": [], "count": 128, "ranges": [[0, 128]]}
     full = sample_placement(make_cfg(mu_t=1.0, mu_r=1.0), 128, seed=3)
-    part_full = partition_file(full, 1)
-    assert list(part_full.cells) == [((1, 2), (1, 2))]
+    (cell,) = placement_to_replay(full)["files"][0]["cells"]
+    assert (cell["ues"], cell["ens"]) == ([1, 2], [1, 2])
 
 
 def test_empirical_fractions_edges():

@@ -12,11 +12,10 @@ from fogndt.scheduler import (
     NAIVE_MULTICAST,
     build_schedule,
     coded_messages_for_group,
+    cooperation_increments,
     coop_sets_for,
     fronthaul_plan,
-    group_ndt_candidates,
     iter_group_terms,
-    optimize_cooperation,
     sub_messages_for_group,
 )
 from conftest import make_cfg, reference_3x3_group_pairs
@@ -66,20 +65,26 @@ def test_messages_emitted_in_lexicographic_order():
 
 
 def test_candidates_2x2_against_straight_line_arithmetic():
-    cfg = make_cfg(nt=2, nr=2, mu_t=0.5, mu_r=0.5, r=1.0)
     f = 0.5 ** 0 * (1 - 0.5) ** 2 * 0.5 ** 1 * (1 - 0.5) ** 1
     d1 = max(2 / (2 + (2 - 0 - 1) / (0 + 1)), 0.5)
-    expected = {
-        0: (
-            math.comb(2, 1) * math.comb(2, 1) * min(1.0, 0 / 2) * f / 1.0,
-            math.comb(1, 0) * math.comb(2, 1) * f / d1,
-        ),
-        1: (
-            math.comb(2, 1) * math.comb(2, 1) * min(1.0, 1 / 2) * f / 1.0,
-            math.comb(1, 0) * math.comb(2, 1) * f / 1.0,
-        ),
-    }
-    assert group_ndt_candidates(GroupIndex(0, 1), cfg) == expected
+    for r in (1.0, 1e9):
+        cfg = make_cfg(nt=2, nr=2, mu_t=0.5, mu_r=0.5, r=r)
+        expected = {
+            0: (
+                math.comb(2, 1) * math.comb(2, 1) * min(1.0, 0 / 2) * f / r,
+                math.comb(1, 0) * math.comb(2, 1) * f / d1,
+            ),
+            1: (
+                math.comb(2, 1) * math.comb(2, 1) * min(1.0, 1 / 2) * f / r,
+                math.comb(1, 0) * math.comb(2, 1) * f / 1.0,
+            ),
+        }
+        for i, (tau_f, _) in expected.items():
+            assert fronthaul_plan(GroupIndex(0, 1), i, cfg).normalized_load / r == tau_f
+        i_star = min(expected, key=lambda i: sum(expected[i]))
+        plan = build_schedule(cfg).groups[GroupIndex(0, 1)]
+        assert plan.chosen_i == i_star == (0 if r == 1.0 else 1)
+        assert (plan.tau_f, plan.tau_a) == expected[i_star]
 
 
 def test_candidates_3x3_single_en_fronthaul_form():
@@ -87,41 +92,42 @@ def test_candidates_3x3_single_en_fronthaul_form():
     # closed form 3 * C(3, m+1) * i * f / (2r).
     cfg = make_cfg(nt=3, nr=3, mu_t=0.4, mu_r=0.3, r=2.0)
     f = 0.3 ** 1 * (1 - 0.3) ** 2 * 0.4 ** 1 * (1 - 0.4) ** 2
-    table = group_ndt_candidates(GroupIndex(1, 1), cfg)
     for i in (0, 1, 2):
-        assert table[i][0] == 3 * math.comb(3, 2) * i * f / (2 * 2.0)
+        load = fronthaul_plan(GroupIndex(1, 1), i, cfg).normalized_load
+        assert load / cfg.fronthaul_r == 3 * math.comb(3, 2) * i * f / (2 * 2.0)
 
 
 def test_candidates_zero_fronthaul_at_i_zero():
     cfg = make_cfg(nt=4, nr=3, mu_t=0.3, mu_r=0.3)
-    table = group_ndt_candidates(GroupIndex(1, 1), cfg)
-    assert table[0][0] == 0.0
+    assert fronthaul_plan(GroupIndex(1, 1), 0, cfg).normalized_load == 0.0
 
 
 def test_candidates_n0_single_entry():
     cfg = make_cfg(nt=3, nr=3, mu_t=0.2, mu_r=0.2, r=2.0)
-    table = group_ndt_candidates(GroupIndex(1, 0), cfg)
     f = 0.2 ** 1 * 0.8 ** 2 * 0.2 ** 0 * 0.8 ** 3
-    assert list(table) == [3]
-    assert table[3] == (math.comb(3, 2) * f / 2.0, math.comb(2, 1) * f / 1.0)
+    assert list(cooperation_increments(0, cfg.num_ens)) == [3]
+    plan = build_schedule(cfg).groups[GroupIndex(1, 0)]
+    assert plan.chosen_i == 3
+    assert (plan.tau_f, plan.tau_a) == (math.comb(3, 2) * f / 2.0, math.comb(2, 1) * f / 1.0)
 
 
 def test_candidates_match_group_terms_bitwise():
-    # The streaming evaluator and the public per-group table share arithmetic.
+    # The streaming evaluator, the schedule and the fronthaul plans share arithmetic.
     for cfg in (
         make_cfg(nt=3, nr=4, nfiles=4, mu_t=0.37, mu_r=0.81, r=0.7),
         make_cfg(nt=5, nr=2, mu_t=0.64, mu_r=0.11, r=13.0),
     ):
+        schedule = build_schedule(cfg)
         for group, f, i_star, tau_f, tau_a, _d in iter_group_terms(cfg):
-            assert group_ndt_candidates(group, cfg)[i_star] == (tau_f, tau_a)
+            plan = schedule.groups[group]
+            assert (plan.chosen_i, plan.tau_f, plan.tau_a) == (i_star, tau_f, tau_a)
+            assert fronthaul_plan(group, i_star, cfg).normalized_load / cfg.fronthaul_r == tau_f
 
 
 def test_optimize_prefers_no_fronthaul_when_r_tiny():
     cfg = make_cfg(nt=4, nr=4, nfiles=4, mu_t=0.5, mu_r=0.5, r=1e-9)
-    for n in range(1, 5):
-        for m in range(4):
-            i_star, _ = optimize_cooperation(GroupIndex(m, n), cfg)
-            assert i_star == 0
+    groups = build_schedule(cfg).groups
+    assert all(plan.chosen_i == 0 for g, plan in groups.items() if g.n >= 1)
 
 
 def test_optimize_maxes_cooperation_when_r_huge():
@@ -129,24 +135,34 @@ def test_optimize_maxes_cooperation_when_r_huge():
         return 0.5 + 0.5 * j / cfg.num_ens
 
     cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.5, r=1e9)
-    for n in (1, 2, 3):
-        for m in range(3):
-            i_star, _ = optimize_cooperation(GroupIndex(m, n), cfg, increasing)
-            assert i_star == cfg.num_ens - n
+    groups = build_schedule(cfg, dof=increasing).groups
+    assert all(plan.chosen_i == cfg.num_ens - g.n for g, plan in groups.items())
 
 
 def test_optimize_never_beats_i_zero_claim():
     cfg = make_cfg(nt=3, nr=3, mu_t=0.4, mu_r=0.3, r=2.0)
-    for n in (1, 2, 3):
-        for m in range(3):
-            table = group_ndt_candidates(GroupIndex(m, n), cfg)
-            _, best = optimize_cooperation(GroupIndex(m, n), cfg)
-            assert best <= sum(table[0])
+    for g, plan in build_schedule(cfg).groups.items():
+        if g.n >= 1:
+            access_at_i0 = math.comb(2, g.m) * math.comb(3, g.n) * plan.size_fraction
+            assert plan.tau_f + plan.tau_a <= access_at_i0 / per_user_dof_default(g.m, g.n, cfg)
+
+
+def test_optimize_ties_go_to_smaller_i():
+    # At n = 1 the fronthaul load saturates from i = 2 on, and this DoF is
+    # flat from cooperation level 3 on, so i = 2 and i = 3 tie exactly.
+    def step(m, j, cfg):
+        return 1.0 if j >= 3 else 0.5
+
+    cfg = make_cfg(nt=4, nr=2, mu_t=0.5, mu_r=0.5, r=1e6)
+    assert build_schedule(cfg, dof=step).groups[GroupIndex(0, 1)].chosen_i == 2
 
 
 def test_optimize_rejects_n0():
+    # A group cached at no edge node has no cooperation choice.
+    cfg = make_cfg()
+    msgs = coded_messages_for_group(GroupIndex(0, 0), cfg, DemandVector.distinct(cfg))
     with pytest.raises(ValueError):
-        optimize_cooperation(GroupIndex(0, 0), make_cfg())
+        sub_messages_for_group(GroupIndex(0, 0), 0, msgs, cfg)
 
 
 def test_sub_message_split_counts():
@@ -169,19 +185,15 @@ def test_coop_sets_sorted_and_supersets():
 
 def test_fronthaul_mode_selection():
     cfg = make_cfg(nt=4, nr=2, mu_t=0.5, mu_r=0.5)
-    demand = DemandVector.distinct(cfg)
-    msgs = coded_messages_for_group(GroupIndex(0, 1), cfg, demand)
     # i = 1: XOR combining sends binom(2,2)=1 payload against binom(2,1)=2.
-    assert fronthaul_plan(GroupIndex(0, 1), 1, msgs, cfg).mode == CODED_MULTICAST
+    assert fronthaul_plan(GroupIndex(0, 1), 1, cfg).mode == CODED_MULTICAST
     # i = 3: binom(4,1)=4 one-by-one payloads against binom(4,2)=6 XORs.
-    assert fronthaul_plan(GroupIndex(0, 1), 3, msgs, cfg).mode == NAIVE_MULTICAST
+    assert fronthaul_plan(GroupIndex(0, 1), 3, cfg).mode == NAIVE_MULTICAST
 
 
 def test_fronthaul_plan_i_zero_is_empty():
     cfg = make_cfg(nt=3, nr=2, mu_t=0.4, mu_r=0.4)
-    demand = DemandVector.distinct(cfg)
-    msgs = coded_messages_for_group(GroupIndex(0, 2), cfg, demand)
-    plan = fronthaul_plan(GroupIndex(0, 2), 0, msgs, cfg)
+    plan = fronthaul_plan(GroupIndex(0, 2), 0, cfg)
     assert plan.mode == CODED_MULTICAST
     assert plan.transmissions == ()
     assert plan.normalized_load == 0.0
@@ -191,10 +203,9 @@ def test_fronthaul_load_matches_min_rule():
     cfg = make_cfg(nt=4, nr=3, nfiles=3, mu_t=0.3, mu_r=0.2)
     demand = DemandVector.distinct(cfg)
     for n in (1, 2):
-        msgs = coded_messages_for_group(GroupIndex(1, n), cfg, demand)
-        f = msgs[0].size_fraction
+        f = coded_messages_for_group(GroupIndex(1, n), cfg, demand)[0].size_fraction
         for i in range(cfg.num_ens - n + 1):
-            plan = fronthaul_plan(GroupIndex(1, n), i, msgs, cfg)
+            plan = fronthaul_plan(GroupIndex(1, n), i, cfg)
             expected = math.comb(3, 2) * math.comb(4, n) * min(1.0, i / (n + 1)) * f
             assert plan.normalized_load == expected
             per_pair = math.comb(n + i, n + 1) if plan.mode == CODED_MULTICAST else math.comb(n + i, n)
@@ -205,14 +216,14 @@ def test_fronthaul_n0_multicasts_every_message():
     cfg = make_cfg(nt=3, nr=2, mu_t=0.4, mu_r=0.4)
     demand = DemandVector.distinct(cfg)
     msgs = coded_messages_for_group(GroupIndex(0, 0), cfg, demand)
-    plan = fronthaul_plan(GroupIndex(0, 0), cfg.num_ens, msgs, cfg)
+    plan = fronthaul_plan(GroupIndex(0, 0), cfg.num_ens, cfg)
     assert plan.mode == NAIVE_MULTICAST
     assert len(plan.transmissions) == len(msgs)
     assert all(tx.coop_set == (1, 2, 3) for tx in plan.transmissions)
     assert plan.normalized_load == math.comb(2, 1) * msgs[0].size_fraction
     # Full cooperation is the only admissible increment of an uncached group.
     with pytest.raises(ValueError):
-        fronthaul_plan(GroupIndex(0, 0), 0, msgs, cfg)
+        fronthaul_plan(GroupIndex(0, 0), 0, cfg)
 
 
 def test_schedule_empty_when_users_cache_everything():
@@ -317,12 +328,43 @@ def test_schedule_json_is_stable_and_complete():
 
 
 def test_sub_message_counts_in_schedule():
-    cfg = make_cfg(nt=3, nr=3, mu_t=0.25, mu_r=0.25, r=4.0)
-    schedule = build_schedule(cfg)
-    for g, plan in schedule.groups.items():
-        expected_msgs = math.comb(3, g.m + 1) * math.comb(3, g.n)
-        assert len(plan.messages) == expected_msgs
-        per_msg = math.comb(3 - g.n, plan.chosen_i)
-        assert len(plan.sub_messages) == expected_msgs * per_msg
-        assignment = plan.access_assignment()
-        assert sum(len(v) for v in assignment.values()) == len(plan.sub_messages)
+    # The default DoF at r = 4 gives one sub-message per message.  The step
+    # DoF at 5x2 splits group (0, 1) six ways (naive, i = 2) and group (0, 2)
+    # three ways (coded, i = 1).
+    def step(m, j, cfg):
+        return 1.0 if j >= 3 else 0.3
+
+    for cfg, dof in (
+        (make_cfg(nt=3, nr=3, mu_t=0.25, mu_r=0.25, r=4.0), per_user_dof_default),
+        (make_cfg(nt=5, nr=2, mu_t=0.5, mu_r=0.25, r=10.0), step),
+    ):
+        schedule = build_schedule(cfg, dof=dof)
+        exported = {(g["m"], g["n"]): g["messages"] for g in schedule.to_json()["groups"]}
+        nt, nr = cfg.num_ens, cfg.num_ues
+        for g, plan in schedule.groups.items():
+            expected_msgs = math.comb(nr, g.m + 1) * math.comb(nt, g.n)
+            assert len(plan.messages) == expected_msgs
+            per_msg = math.comb(nt - g.n, plan.chosen_i)
+            assert len(plan.sub_messages) == expected_msgs * per_msg
+            for k, (msg, entry) in enumerate(zip(plan.messages, exported[g], strict=True)):
+                block = plan.sub_messages[k * per_msg : (k + 1) * per_msg]
+                assert entry["sub_messages"] == [{"coop_set": list(s.coop_set)} for s in block]
+                for sub in block:
+                    assert (sub.ue_group, sub.en_cache_set) == (msg.ue_group, msg.en_cache_set)
+                    assert set(sub.en_cache_set) <= set(sub.coop_set)
+                    assert len(sub.coop_set) == g.n + plan.chosen_i
+    groups = schedule.groups
+    assert (groups[GroupIndex(0, 1)].mode, len(groups[GroupIndex(0, 1)].sub_messages)) == (NAIVE_MULTICAST, 5 * 2 * 6)
+    assert (groups[GroupIndex(0, 2)].mode, len(groups[GroupIndex(0, 2)].sub_messages)) == (CODED_MULTICAST, 10 * 2 * 3)
+
+
+def test_export_rejects_sub_messages_that_do_not_pair_with_messages():
+    def step(m, j, cfg):
+        return 1.0 if j >= 3 else 0.3
+
+    for change in (lambda subs: subs[:-1], lambda subs: subs[::-1]):
+        schedule = build_schedule(make_cfg(nt=5, nr=2, mu_t=0.5, mu_r=0.25, r=10.0), dof=step)
+        plan = schedule.groups[GroupIndex(0, 1)]
+        vars(plan)["sub_messages"] = change(plan.sub_messages)
+        with pytest.raises(ValueError):
+            schedule.to_json()
