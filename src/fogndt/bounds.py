@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
 from .model import NetworkConfig, binom, config_to_dict, validate_config
-from .scheduler import iter_group_terms
+from .scheduler import _group_terms
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
 
@@ -52,9 +52,13 @@ class BoundsReport:
 
 def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Achievable delivery time: best cooperation choice summed over all groups."""
+    return _ndt_upper(validate_config(cfg), dof)
+
+
+def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> float:
     total_f = 0.0
     total_a = 0.0
-    for _group, _f, _i, tau_f, tau_a, _d in iter_group_terms(cfg, dof):
+    for _group, _f, _i, tau_f, tau_a, _d in _group_terms(cfg, dof):
         total_f += tau_f
         total_a += tau_a
     return total_f + total_a
@@ -62,7 +66,10 @@ def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> fl
 
 def ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     """Converse bound with the maximizing user-subset sizes; ties to smaller l."""
-    validate_config(cfg)
+    return _ndt_lower(validate_config(cfg))
+
+
+def _ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
     mu_t, mu_r = cfg.mu_t, cfg.mu_r
     best_f = -math.inf
@@ -89,12 +96,16 @@ def _gap_ratio(upper: float, lower: float) -> float:
 
 def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Multiplicative gap between the achievable NDT and the converse bound."""
-    return _gap_ratio(ndt_upper(cfg, dof), ndt_lower(cfg)[0])
+    validate_config(cfg)
+    return _gap_ratio(_ndt_upper(cfg, dof), _ndt_lower(cfg)[0])
 
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
-    validate_config(cfg)
+    return _limit_infinite_r(validate_config(cfg), dof)
+
+
+def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
     nr, nt = cfg.num_ues, cfg.num_ens
     mu_r = cfg.mu_r
     total = 0.0
@@ -104,8 +115,10 @@ def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_d
 
 
 def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> BoundsReport:
-    upper = ndt_upper(cfg, dof)  # validates cfg before any other work
-    lower, l1, l2 = ndt_lower(cfg)
+    # Validated once here; the private cores skip the check.
+    validate_config(cfg)
+    upper = _ndt_upper(cfg, dof)
+    lower, l1, l2 = _ndt_lower(cfg)
     return BoundsReport(
         cfg=cfg,
         tau_upper=upper,
@@ -113,5 +126,5 @@ def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -
         gap=_gap_ratio(upper, lower),
         argmax_l1=l1,
         argmax_l2=l2,
-        limit_inf_r=ndt_upper_limit_infinite_r(cfg, dof),
+        limit_inf_r=_limit_infinite_r(cfg, dof),
     )

@@ -113,23 +113,39 @@ def _slice_bounds(length: int, pieces: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _padded_slice(bits: np.ndarray, start: int, end: int) -> np.ndarray:
-    """bits[start:end] of a conceptually zero-padded array."""
-    out = np.zeros(end - start, dtype=np.uint8)
-    if start < bits.size:
-        stop = min(end, bits.size)
-        out[: stop - start] = bits[start:stop]
-    return out
+class _Realized(NamedTuple):
+    """One message's constituents, one zero-padded row each, in ``ue_group`` order."""
+
+    sent: np.ndarray  # the cells the schedule names
+    wanted: np.ndarray  # each row's user's demanded file at the same bit positions
+    cells: list[np.ndarray]  # each constituent's bit positions in its file
 
 
 class _SubSlice(NamedTuple):
-    parts: list[np.ndarray]  # the message's realized constituents
+    realized: _Realized | None
     start: int
     end: int
     bits: np.ndarray  # this slice of the message's XOR
 
 
-_ABSENT = _SubSlice([], 0, 0, np.empty(0, dtype=np.uint8))
+_ABSENT = _SubSlice(None, 0, 0, np.empty(0, dtype=np.uint8))
+
+
+def _realize(placement: PlacementRealization, demand: DemandVector, msg) -> _Realized:
+    cells = [placement.cell_indices(c.file_id, c.cached_ues, c.cached_ens) for c in msg.constituents]
+    sent = np.zeros((len(cells), max(idx.size for idx in cells)), dtype=np.uint8)
+    for row, (c, idx) in enumerate(zip(msg.constituents, cells)):
+        sent[row, : idx.size] = placement.file_bits[c.file_id - 1][idx]
+    wanted = sent
+    for row, (c, idx) in enumerate(zip(msg.constituents, cells)):
+        # A constituent naming a file its user did not ask for decodes to
+        # bits the user does not want: its row must fail the access check.
+        file_id = demand.demands[msg.ue_group[row] - 1]
+        if file_id != c.file_id:
+            if wanted is sent:
+                wanted = sent.copy()
+            wanted[row, : idx.size] = placement.file_bits[file_id - 1][idx]
+    return _Realized(sent, wanted, cells)
 
 
 def _record(records, channel, group, ue_group, coop, cache_sets, bits: np.ndarray) -> None:
@@ -159,7 +175,7 @@ def execute_schedule(
     covered = []
     for q in range(1, nr + 1):
         labels = placement.bit_labels[demand.demands[q - 1] - 1]
-        covered.append(((labels >> np.uint32(q - 1)) & np.uint32(1)).astype(bool))
+        covered.append(((labels >> (q - 1)) & 1).astype(bool))
 
     fronthaul_total = 0
     padding_total = 0
@@ -177,18 +193,13 @@ def execute_schedule(
         subs: dict[tuple, _SubSlice] = {}
         naive_fh = 0
         for msg, block in plan.message_blocks():
-            parts = [
-                placement.cell_bits(lbl.file_id, lbl.cached_ues, lbl.cached_ens)
-                for lbl in msg.constituents
-            ]
-            length = max(p.size for p in parts)
-            xor = np.zeros(length, dtype=np.uint8)
-            for p in parts:
-                xor[: p.size] ^= p
-            padding_total += (m + 1) * length - sum(p.size for p in parts)
+            realized = _realize(placement, demand, msg)
+            length = realized.sent.shape[1]
+            xor = np.bitwise_xor.reduce(realized.sent, axis=0)
+            padding_total += (m + 1) * length - sum(idx.size for idx in realized.cells)
             naive_fh += length
             for sub, (a, b) in zip(block, _slice_bounds(length, len(block))):
-                subs[(msg.ue_group, msg.en_cache_set, sub.coop_set)] = _SubSlice(parts, a, b, xor[a:b])
+                subs[(msg.ue_group, msg.en_cache_set, sub.coop_set)] = _SubSlice(realized, a, b, xor[a:b])
 
         # Fronthaul hop: each payload XORs the sub-messages its cache sets
         # name.  An edge node of the cooperation set decodes a payload when it
@@ -238,26 +249,25 @@ def execute_schedule(
         # Access hop: every sub-message slice is one multicast payload.
         loads = [0] * nr
         group_access = 0
-        for (ue_group, cache, coop), (parts, a, b, payload) in subs.items():
+        for (ue_group, cache, coop), (realized, a, b, payload) in subs.items():
             size = b - a
             if size == 0:
                 continue
             group_access += size
             _record(records, "access", group, ue_group, coop, (cache,), payload)
-            for pos, q in enumerate(ue_group):
-                loads[q - 1] += size
-                residual = payload.copy()
-                for other, part in enumerate(parts):
-                    if other != pos:
-                        residual ^= _padded_slice(part, a, b)
+            # Row k: the payload XOR every constituent but the k-th, which is
+            # what user ue_group[k] decodes; it must be the bits it wants.
+            sent = realized.sent[:, a:b]
+            decoded = np.bitwise_xor.reduce(sent, axis=0) ^ payload ^ sent
+            wrong = (decoded != realized.wanted[:, a:b]).any(axis=1)
+            if wrong.any():
+                q = ue_group[int(wrong.argmax())]
                 cached_ues = tuple(u for u in ue_group if u != q)
-                if not np.array_equal(residual, _padded_slice(parts[pos], a, b)):
-                    raise DecodeFailure(("ue", q), (ue_group, cache, coop), (q, cached_ues, cache))
+                raise DecodeFailure(("ue", q), (ue_group, cache, coop), (q, cached_ues, cache))
+            for q, idx in zip(ue_group, realized.cells):
+                loads[q - 1] += size
                 # Mark the recovered stretch of the demanded file as covered.
-                idx = placement.cell_indices(demand.demands[q - 1], cached_ues, cache)
-                stop = min(b, idx.size)
-                if stop > a:
-                    covered[q - 1][idx[a:stop]] = True
+                covered[q - 1][idx[a:b]] = True
         access_by_coop[coop_level] = access_by_coop.get(coop_level, 0) + group_access
         max_load = max(loads) if loads else 0
         per_group[group] = GroupStats(

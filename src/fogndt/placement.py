@@ -25,11 +25,19 @@ from .model import (
     validate_config,
 )
 
-# Labels are packed into uint32 masks: low num_ues bits for users, the next
-# num_ens bits for edge nodes.
+# Labels are packed into unsigned masks of at most 32 bits: low num_ues bits
+# for users, the next num_ens bits for edge nodes.
 _MAX_PACKED_NODES = 30
 
+# Bits per block of label draws: bounds sampling scratch to a few MB per side.
+_LABEL_CHUNK_BITS = 1 << 16
+
 REPLAY_FORMAT = "fogndt-placement/1"
+
+
+def _label_type(cfg: NetworkConfig) -> np.dtype:
+    """The narrowest unsigned type that holds every packed label of ``cfg``."""
+    return np.min_scalar_type((1 << (cfg.num_ues + cfg.num_ens)) - 1)
 
 
 def fractional_size(m: int, n: int, cfg: NetworkConfig) -> float:
@@ -71,8 +79,10 @@ class PlacementRealization:
     """Per-bit cache labels plus the file contents they apply to.
 
     ``bit_labels[f, b]`` is the packed label of bit ``b`` of file ``f + 1``
-    and ``file_bits[f, b]`` the bit value itself.  Instances are immutable;
-    cell index tables are computed lazily and cached.
+    and ``file_bits[f, b]`` the bit value itself.  Sampled and replayed
+    realizations store labels in the narrowest unsigned type that holds
+    ``num_ues + num_ens`` bits; any wider unsigned type works too.
+    Instances are immutable; cell index tables are computed lazily and cached.
     """
 
     cfg: NetworkConfig
@@ -83,14 +93,18 @@ class PlacementRealization:
 
     @cached_property
     def _cells(self) -> tuple[dict[int, np.ndarray], ...]:
+        # Keys in the narrowest label type give the same stable order as wider
+        # ones; numpy sorts 8- and 16-bit keys by radix.
+        key_type = _label_type(self.cfg)
         out = []
-        for f in range(self.cfg.num_files):
-            labels = self.bit_labels[f]
-            order = np.argsort(labels, kind="stable")
-            sorted_labels = labels[order]
-            cuts = np.flatnonzero(np.diff(sorted_labels)) + 1
-            chunks = np.split(order, cuts)
-            out.append({int(labels[chunk[0]]): chunk for chunk in chunks})
+        for labels in self.bit_labels:
+            keys = labels.astype(key_type, copy=False)
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+            bounds = [0, *starts.tolist(), order.size]
+            cell_labels = sorted_keys[bounds[:-1]].tolist()
+            out.append({lbl: order[a:b] for lbl, a, b in zip(cell_labels, bounds, bounds[1:])})
         return tuple(out)
 
     def cell_indices(self, file_id: int, ue_set, en_set) -> np.ndarray:
@@ -99,10 +113,6 @@ class PlacementRealization:
             raise ValueError(f"unknown file id: {file_id}")
         label = pack_label(ue_set, en_set, self.cfg)
         return self._cells[file_id - 1].get(label, _EMPTY_INDICES)
-
-    def cell_bits(self, file_id: int, ue_set, en_set) -> np.ndarray:
-        idx = self.cell_indices(file_id, ue_set, en_set)
-        return self.file_bits[file_id - 1][idx]
 
 
 _EMPTY_INDICES = np.empty(0, dtype=np.int64)
@@ -127,13 +137,21 @@ def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> Plac
         0, 2, size=(cfg.num_files, file_size_bits), dtype=np.uint8
     )
     label_rng = np.random.default_rng(label_ss)
-    ue_weights = (np.uint32(1) << np.arange(cfg.num_ues, dtype=np.uint32))
-    en_weights = (np.uint32(1) << np.arange(cfg.num_ens, dtype=np.uint32)) << np.uint32(cfg.num_ues)
-    labels = np.empty((cfg.num_files, file_size_bits), dtype=np.uint32)
-    for f in range(cfg.num_files):
-        ue_draw = label_rng.random((file_size_bits, cfg.num_ues)) < cfg.mu_r
-        en_draw = label_rng.random((file_size_bits, cfg.num_ens)) < cfg.mu_t
-        labels[f] = ue_draw.astype(np.uint32) @ ue_weights + en_draw.astype(np.uint32) @ en_weights
+    label_type = _label_type(cfg)
+    labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
+    sides = ((0, cfg.num_ues, cfg.mu_r), (cfg.num_ues, cfg.num_ens, cfg.mu_t))
+    scratch = np.empty(min(file_size_bits, _LABEL_CHUNK_BITS) * max(cfg.num_ues, cfg.num_ens))
+    for row in labels:
+        # Per file: every bit's user doubles, then every bit's edge-node
+        # doubles, bit-major.  Consecutive chunks read the same stream as one
+        # whole-file draw, so the chunk size does not change the labels.
+        for shift, nodes, mu in sides:
+            for a in range(0, file_size_bits, _LABEL_CHUNK_BITS):
+                chunk = row[a : a + _LABEL_CHUNK_BITS]
+                draws = scratch[: chunk.size * nodes].reshape(chunk.size, nodes)
+                hits = label_rng.random(out=draws) < mu
+                for k in range(nodes):
+                    chunk |= hits[:, k].astype(label_type) << label_type.type(shift + k)
     return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
 
 
@@ -221,7 +239,7 @@ def placement_from_replay(doc: dict) -> PlacementRealization:
     if not type(size) is int or size < 1:
         raise ValueError(f"file_size_bits must be a positive integer: {size!r}")
     seed = doc["seed"]
-    labels = np.zeros((cfg.num_files, size), dtype=np.uint32)
+    labels = np.zeros((cfg.num_files, size), dtype=_label_type(cfg))
     seen: set[int] = set()
     for entry in doc["files"]:
         file_id = entry["file"]

@@ -228,13 +228,18 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> FronthaulPl
 def iter_group_terms(
     cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
 ) -> Iterator[tuple[GroupIndex, float, int, float, float, float]]:
-    """Yield (group, f, chosen_i, tau_f, tau_a, dof_value) in ascending (m, n) order.
+    """Iterate (group, f, chosen_i, tau_f, tau_a, dof_value) in ascending (m, n) order.
 
     Groups with zero subfile fraction are skipped.  This is the single source
     of per-group times for both the schedule breakdown and the closed-form
     bound, which keeps the two bit-identical.
     """
     validate_config(cfg)
+    return _group_terms(cfg, dof)
+
+
+def _group_terms(cfg: NetworkConfig, dof: DofProvider):
+    """:func:`iter_group_terms` for a config the caller has validated."""
     nt, nr = cfg.num_ens, cfg.num_ues
     mu_r, mu_t = cfg.mu_r, cfg.mu_t
     pow_mr = [mu_r ** k for k in range(nr + 1)]
@@ -360,7 +365,7 @@ def build_schedule(
     demand = DemandVector.distinct(cfg) if demand is None else demand.validated(cfg)
     plans: dict[GroupIndex, GroupPlan] = {}
     terms = []
-    for group, f, i_star, tau_f, tau_a, d in iter_group_terms(cfg, dof):
+    for group, f, i_star, tau_f, tau_a, d in _group_terms(cfg, dof):
         plans[group] = GroupPlan(
             index=group,
             chosen_i=i_star,

@@ -47,6 +47,13 @@ CASES = {
          "--r", "50", "--file-bits", "2000", "--seed", "3", "--demand", "2,2"],
         "2d6478f04ade8fe777e7d11e1631165ede5f01bb5b56a15d616a276009140897",
     ),
+    # Three label-sampling chunks plus a partial fourth: bits past the first
+    # chunk must land in the same cells as in one whole-file draw.
+    "simulate_2x2_chunked": (
+        ["simulate", "--nt", "2", "--nr", "2", "--mut", "0.4", "--mur", "0.3", "--r", "2",
+         "--file-bits", str(3 * 65536 + 17), "--seed", "13"],
+        "9d2f7f417e2f985b7eaf72a539fdc0b7aa08540ef716f3332f907076ff7dc445",
+    ),
     "sweep_r": (
         ["sweep", "--nt", "2", "--nr", "5", "--mut", "0.5", "--mur", "0.2", "--r", "1",
          "--axis", "r", "--values", "geom:0.01:1e9:25"],

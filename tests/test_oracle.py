@@ -257,3 +257,20 @@ def test_dropped_message_leaves_its_user_undecoded():
 
     report = _faulty_run(GroupIndex(0, 1), drop_first)
     assert verify_decodability(report) == [1]
+
+
+@pytest.mark.parametrize("pos", [0, 1])
+def test_constituent_of_the_wrong_file_fails_only_its_user(pos):
+    # The first message of group (1, 1) serves users 1 and 2; naming the
+    # other user's file in one constituent leaves every fronthaul decode
+    # intact, but that constituent's user decodes bits it did not ask for.
+    def wrong_file(plan):
+        msg = plan.messages[0]
+        assert msg.ue_group == (1, 2)
+        parts = list(msg.constituents)
+        parts[pos] = parts[pos]._replace(file_id=parts[1 - pos].file_id)
+        vars(plan)["messages"] = (replace(msg, constituents=tuple(parts)), *plan.messages[1:])
+
+    with pytest.raises(DecodeFailure) as err:
+        _faulty_run(GroupIndex(1, 1), wrong_file)
+    assert err.value.node == ("ue", pos + 1)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from fogndt.model import GroupIndex, binom
 from fogndt.placement import (
+    _LABEL_CHUNK_BITS,
+    PlacementRealization,
     empirical_fractions,
     fractional_size,
     pack_label,
@@ -325,3 +327,54 @@ def test_corrupted_replay_raises_or_loads_identical_labels(data):
     except ValueError:
         return
     assert np.array_equal(loaded.bit_labels, placement_from_replay(original).bit_labels)
+
+
+def _reference_cells(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """The cell index as a stable uint32 argsort cut by np.split."""
+    labels = labels.astype(np.uint32)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return {int(labels[chunk[0]]): chunk for chunk in np.split(order, cuts)}
+
+
+# 4, 10 and 18 nodes: the cell index sorts 8-, 16- and 32-bit keys.
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (9, 9)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cell_index_matches_reference_partition(shape, data):
+    cfg = make_cfg(nt=shape[0], nr=shape[1])
+    size = data.draw(st.integers(1, 300))
+    if data.draw(st.booleans()):
+        # Hand-built uint32 labels from a few values, the widest label included.
+        top = (1 << (cfg.num_ues + cfg.num_ens)) - 1
+        palette = [top, *data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5))]
+        count = cfg.num_files * size
+        values = data.draw(st.lists(st.sampled_from(palette), min_size=count, max_size=count))
+        labels = np.array(values, dtype=np.uint32).reshape(cfg.num_files, size)
+        placement = PlacementRealization(cfg, size, None, labels, np.zeros(labels.shape, np.uint8))
+    else:
+        placement = sample_placement(cfg, size, data.draw(st.integers(0, 2**32 - 1)))
+    for f in range(cfg.num_files):
+        got = placement._cells[f]
+        want = _reference_cells(placement.bit_labels[f])
+        assert list(got) == list(want)
+        for label, idx in want.items():
+            assert np.array_equal(got[label], idx)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+def test_chunked_labels_match_one_whole_file_draw(shape):
+    cfg = make_cfg(nt=shape[0], nr=shape[1], mu_t=0.3, mu_r=0.6)
+    size = 3 * _LABEL_CHUNK_BITS + 17
+    got = sample_placement(cfg, size, seed=21).bit_labels
+    assert got.dtype == np.uint8  # at most 8 nodes
+    # Reference: the unchunked formula, every bit's draws at once per file.
+    _, label_ss = np.random.SeedSequence(21).spawn(2)
+    rng = np.random.default_rng(label_ss)
+    ue_weights = np.uint32(1) << np.arange(cfg.num_ues, dtype=np.uint32)
+    en_weights = (np.uint32(1) << np.arange(cfg.num_ens, dtype=np.uint32)) << np.uint32(cfg.num_ues)
+    for f in range(cfg.num_files):
+        ue_draw = rng.random((size, cfg.num_ues)) < cfg.mu_r
+        en_draw = rng.random((size, cfg.num_ens)) < cfg.mu_t
+        want = ue_draw.astype(np.uint32) @ ue_weights + en_draw.astype(np.uint32) @ en_weights
+        assert np.array_equal(got[f], want)
