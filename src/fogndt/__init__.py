@@ -19,7 +19,6 @@ from .model import (
     ConfigError,
     DemandVector,
     GroupIndex,
-    GroupNdt,
     NdtBreakdown,
     NetworkConfig,
     binom,
@@ -45,7 +44,6 @@ from .scheduler import (
     DeliverySchedule,
     FronthaulPlan,
     GroupPlan,
-    SubMessage,
     build_schedule,
     coded_messages_for_group,
     fronthaul_plan,

@@ -58,7 +58,7 @@ def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> fl
 def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> float:
     total_f = 0.0
     total_a = 0.0
-    for _group, _f, _i, tau_f, tau_a, _d in _group_terms(cfg, dof):
+    for _group, _f, _i, _load, tau_f, tau_a, _d in _group_terms(cfg, dof):
         total_f += tau_f
         total_a += tau_a
     return total_f + total_a

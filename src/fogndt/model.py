@@ -132,33 +132,24 @@ class DemandVector:
         return self
 
 
-class GroupNdt(NamedTuple):
-    tau_f: float
-    tau_a: float
-    chosen_i: int
-
-
 @dataclass(frozen=True)
 class NdtBreakdown:
-    """Per-group fronthaul/access delivery-time pairs plus fixed-order totals."""
+    """Fixed-order fronthaul, access and total delivery times."""
 
-    per_group: dict[GroupIndex, GroupNdt]
     total_f: float
     total_a: float
     total: float
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[GroupIndex, float, float, int]]) -> "NdtBreakdown":
-        """Reduce (group, tau_f, tau_a, chosen_i) terms in the order given.
+    def from_terms(terms: Iterable[tuple[float, float]]) -> "NdtBreakdown":
+        """Reduce per-group (tau_f, tau_a) pairs in the order given.
 
         The accumulation order is part of the contract: totals must be
         bit-reproducible against any other consumer of the same term stream.
         """
-        per_group: dict[GroupIndex, GroupNdt] = {}
         total_f = 0.0
         total_a = 0.0
-        for group, tau_f, tau_a, chosen_i in terms:
-            per_group[group] = GroupNdt(tau_f, tau_a, chosen_i)
+        for tau_f, tau_a in terms:
             total_f += tau_f
             total_a += tau_a
-        return NdtBreakdown(per_group, total_f, total_a, total_f + total_a)
+        return NdtBreakdown(total_f, total_a, total_f + total_a)

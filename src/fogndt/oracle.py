@@ -116,8 +116,7 @@ def _slice_bounds(length: int, pieces: int) -> list[tuple[int, int]]:
 class _Realized(NamedTuple):
     """One message's constituents, one zero-padded row each, in ``ue_group`` order."""
 
-    sent: np.ndarray  # the cells the schedule names
-    wanted: np.ndarray  # each row's user's demanded file at the same bit positions
+    sent: np.ndarray
     cells: list[np.ndarray]  # each constituent's bit positions in its file
 
 
@@ -132,20 +131,17 @@ _ABSENT = _SubSlice(None, 0, 0, np.empty(0, dtype=np.uint8))
 
 
 def _realize(placement: PlacementRealization, demand: DemandVector, msg) -> _Realized:
-    cells = [placement.cell_indices(c.file_id, c.cached_ues, c.cached_ens) for c in msg.constituents]
+    """Materialize a message's constituents by the rule :class:`CodedMessage` states."""
+    ue_group, en_set = msg
+    files = [demand.demands[q - 1] for q in ue_group]
+    cells = [
+        placement.cell_indices(file_id, tuple(u for u in ue_group if u != q), en_set)
+        for q, file_id in zip(ue_group, files)
+    ]
     sent = np.zeros((len(cells), max(idx.size for idx in cells)), dtype=np.uint8)
-    for row, (c, idx) in enumerate(zip(msg.constituents, cells)):
-        sent[row, : idx.size] = placement.file_bits[c.file_id - 1][idx]
-    wanted = sent
-    for row, (c, idx) in enumerate(zip(msg.constituents, cells)):
-        # A constituent naming a file its user did not ask for decodes to
-        # bits the user does not want: its row must fail the access check.
-        file_id = demand.demands[msg.ue_group[row] - 1]
-        if file_id != c.file_id:
-            if wanted is sent:
-                wanted = sent.copy()
-            wanted[row, : idx.size] = placement.file_bits[file_id - 1][idx]
-    return _Realized(sent, wanted, cells)
+    for row, (file_id, idx) in enumerate(zip(files, cells)):
+        sent[row, : idx.size] = placement.file_bits[file_id - 1][idx]
+    return _Realized(sent, cells)
 
 
 def _record(records, channel, group, ue_group, coop, cache_sets, bits: np.ndarray) -> None:
@@ -192,14 +188,17 @@ def execute_schedule(
         # its message, keyed by (user group, cache set, cooperation set).
         subs: dict[tuple, _SubSlice] = {}
         naive_fh = 0
-        for msg, block in plan.message_blocks():
+        coops_of = plan.sub_messages
+        for msg in plan.messages:
+            ue_group, cache = msg
+            coops = coops_of[cache]
             realized = _realize(placement, demand, msg)
             length = realized.sent.shape[1]
             xor = np.bitwise_xor.reduce(realized.sent, axis=0)
             padding_total += (m + 1) * length - sum(idx.size for idx in realized.cells)
             naive_fh += length
-            for sub, (a, b) in zip(block, _slice_bounds(length, len(block))):
-                subs[(msg.ue_group, msg.en_cache_set, sub.coop_set)] = _SubSlice(realized, a, b, xor[a:b])
+            for coop, (a, b) in zip(coops, _slice_bounds(length, len(coops))):
+                subs[(ue_group, cache, coop)] = _SubSlice(realized, a, b, xor[a:b])
 
         # Fronthaul hop: each payload XORs the sub-messages its cache sets
         # name.  An edge node of the cooperation set decodes a payload when it
@@ -256,10 +255,10 @@ def execute_schedule(
             group_access += size
             _record(records, "access", group, ue_group, coop, (cache,), payload)
             # Row k: the payload XOR every constituent but the k-th, which is
-            # what user ue_group[k] decodes; it must be the bits it wants.
+            # what user ue_group[k] decodes; it must be its own constituent.
             sent = realized.sent[:, a:b]
             decoded = np.bitwise_xor.reduce(sent, axis=0) ^ payload ^ sent
-            wrong = (decoded != realized.wanted[:, a:b]).any(axis=1)
+            wrong = (decoded != sent).any(axis=1)
             if wrong.any():
                 q = ue_group[int(wrong.argmax())]
                 cached_ues = tuple(u for u in ue_group if u != q)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .dof import DofProvider, per_user_dof_default
 from .model import (
@@ -26,49 +26,26 @@ from .model import (
     GroupIndex,
     NdtBreakdown,
     NetworkConfig,
-    binom,
     config_to_dict,
     validate_config,
     validate_group,
 )
-from .placement import fractional_size
 
 NAIVE_MULTICAST = "naive_multicast"
 CODED_MULTICAST = "coded_multicast"
 
 
-class SubfileLabel(NamedTuple):
-    """One requested subfile: wanted by ``ue``, cached at the given node sets."""
+class CodedMessage(NamedTuple):
+    """XOR of the m+1 subfiles exchanged within one user group, named by its index sets.
 
-    ue: int
-    file_id: int
-    cached_ues: tuple[int, ...]
-    cached_ens: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CodedMessage:
-    """XOR of the m+1 subfiles exchanged within one user group.
-
-    Each constituent is wanted by exactly one user of ``ue_group`` and cached
-    at the other m users, so every addressed user can cancel all but its own.
+    Constituent k is user q = ``ue_group[k]``'s demanded file at the cell
+    cached by exactly the other users of ``ue_group`` and the edge nodes
+    ``en_cache_set``, so every addressed user can cancel all but its own.
     For m = 0 the message degenerates to a single bare subfile.
     """
 
     ue_group: tuple[int, ...]
     en_cache_set: tuple[int, ...]
-    constituents: tuple[SubfileLabel, ...]
-    size_fraction: float
-
-
-@dataclass(frozen=True)
-class SubMessage:
-    """One equal-split piece of a coded message, owned by edge-node set ``coop_set``."""
-
-    ue_group: tuple[int, ...]
-    en_cache_set: tuple[int, ...]
-    coop_set: tuple[int, ...]
-    size_fraction: float
 
 
 @dataclass(frozen=True)
@@ -88,32 +65,21 @@ class FronthaulTransmission:
 class FronthaulPlan:
     mode: str
     transmissions: tuple[FronthaulTransmission, ...]
-    normalized_load: float
 
 
-def coded_messages_for_group(
-    group: GroupIndex, cfg: NetworkConfig, demand: DemandVector
-) -> list[CodedMessage]:
+def coded_messages_for_group(group: GroupIndex, cfg: NetworkConfig) -> list[CodedMessage]:
     """All coded messages of one group, in lexicographic (ue_group, en_set) order."""
     validate_config(cfg)
-    validate_group(group, cfg)
-    demand.validated(cfg)
-    m, n = group
-    f = fractional_size(m, n, cfg)
-    messages = []
-    for ue_group in itertools.combinations(range(1, cfg.num_ues + 1), m + 1):
-        for en_set in itertools.combinations(range(1, cfg.num_ens + 1), n):
-            constituents = tuple(
-                SubfileLabel(
-                    ue=q,
-                    file_id=demand.demands[q - 1],
-                    cached_ues=tuple(u for u in ue_group if u != q),
-                    cached_ens=en_set,
-                )
-                for q in ue_group
-            )
-            messages.append(CodedMessage(ue_group, en_set, constituents, f))
-    return messages
+    m, n = validate_group(group, cfg)
+    return list(
+        itertools.starmap(
+            CodedMessage,
+            itertools.product(
+                itertools.combinations(range(1, cfg.num_ues + 1), m + 1),
+                itertools.combinations(range(1, cfg.num_ens + 1), n),
+            ),
+        )
+    )
 
 
 def cooperation_increments(n: int, num_ens: int) -> range | tuple[int]:
@@ -169,23 +135,6 @@ def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> 
     )
 
 
-def sub_messages_for_group(
-    group: GroupIndex, i: int, messages: list[CodedMessage], cfg: NetworkConfig
-) -> list[SubMessage]:
-    """Split every message of a group into its cooperation-set sub-messages,
-    message-major: one block of binom(num_ens - n, i) per message."""
-    _check_increment(group, i, cfg)
-    share = messages[0].size_fraction / binom(cfg.num_ens - group.n, i) if messages else 0.0
-    coops_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    out = []
-    for msg in messages:
-        coops = coops_of.get(msg.en_cache_set)
-        if coops is None:
-            coops = coops_of[msg.en_cache_set] = coop_sets_for(msg.en_cache_set, i, cfg)
-        out.extend(SubMessage(msg.ue_group, msg.en_cache_set, coop, share) for coop in coops)
-    return out
-
-
 def fronthaul_payloads(coop: tuple[int, ...], n: int, mode: str) -> list[tuple[tuple[int, ...], ...]]:
     """Cache-set lists of the payloads cooperation set ``coop`` receives per user group.
 
@@ -219,27 +168,17 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> FronthaulPl
         payloads = fronthaul_payloads(coop, n, mode)
         for ue_group in ue_groups:
             transmissions.extend(FronthaulTransmission(ue_group, coop, c) for c in payloads)
-    # Loads do not depend on the DoF, so any DoF row serves here.
-    rows = _group_times(m, n, fractional_size(m, n, cfg), cfg, (1.0,) * nt)
-    load = next(row[2] for row in rows if row[1] == i)
-    return FronthaulPlan(mode, tuple(transmissions), load)
+    return FronthaulPlan(mode, tuple(transmissions))
 
 
-def iter_group_terms(
-    cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
-) -> Iterator[tuple[GroupIndex, float, int, float, float, float]]:
-    """Iterate (group, f, chosen_i, tau_f, tau_a, dof_value) in ascending (m, n) order.
+def _group_terms(cfg: NetworkConfig, dof: DofProvider):
+    """Yield (group, f, chosen_i, load, tau_f, tau_a, dof_value) of the row ``min``
+    picks per group, in ascending (m, n) order, for a config the caller has validated.
 
     Groups with zero subfile fraction are skipped.  This is the single source
     of per-group times for both the schedule breakdown and the closed-form
     bound, which keeps the two bit-identical.
     """
-    validate_config(cfg)
-    return _group_terms(cfg, dof)
-
-
-def _group_terms(cfg: NetworkConfig, dof: DofProvider):
-    """:func:`iter_group_terms` for a config the caller has validated."""
     nt, nr = cfg.num_ens, cfg.num_ues
     mu_r, mu_t = cfg.mu_r, cfg.mu_t
     pow_mr = [mu_r ** k for k in range(nr + 1)]
@@ -253,8 +192,8 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider):
             f = ue_part * pow_mt[n] * pow_qt[nt - n]
             if f == 0.0:
                 continue
-            _total, i_star, _load, tau_f, tau_a, d = min(_group_times(m, n, f, cfg, dof_row))
-            yield GroupIndex(m, n), f, i_star, tau_f, tau_a, d
+            _total, i_star, load, tau_f, tau_a, d = min(_group_times(m, n, f, cfg, dof_row))
+            yield GroupIndex(m, n), f, i_star, load, tau_f, tau_a, d
 
 
 @dataclass(frozen=True)
@@ -265,11 +204,11 @@ class GroupPlan:
     chosen_i: int
     mode: str
     size_fraction: float
+    fronthaul_load: float
     tau_f: float
     tau_a: float
     dof_value: float
     cfg: NetworkConfig = field(repr=False)
-    demand: DemandVector = field(repr=False)
 
     @property
     def coop_level(self) -> int:
@@ -277,28 +216,19 @@ class GroupPlan:
 
     @cached_property
     def messages(self) -> tuple[CodedMessage, ...]:
-        return tuple(coded_messages_for_group(self.index, self.cfg, self.demand))
+        return tuple(coded_messages_for_group(self.index, self.cfg))
 
     @cached_property
-    def sub_messages(self) -> tuple[SubMessage, ...]:
-        return tuple(
-            sub_messages_for_group(self.index, self.chosen_i, list(self.messages), self.cfg)
-        )
+    def sub_messages(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The cooperation sets splitting each message, by its edge-node cache set."""
+        return {
+            cache: tuple(coop_sets_for(cache, self.chosen_i, self.cfg))
+            for cache in itertools.combinations(range(1, self.cfg.num_ens + 1), self.index.n)
+        }
 
     @cached_property
     def fronthaul(self) -> FronthaulPlan:
         return fronthaul_plan(self.index, self.chosen_i, self.cfg)
-
-    def message_blocks(self) -> Iterator[tuple[CodedMessage, tuple[SubMessage, ...]]]:
-        """Each message with its own sub-messages, which ``sub_messages`` lists
-        message-major in contiguous blocks of binom(num_ens - n, i)."""
-        per = binom(self.cfg.num_ens - self.index.n, self.chosen_i)
-        subs = self.sub_messages
-        owners = [(s.ue_group, s.en_cache_set) for s in subs]
-        if owners != [(msg.ue_group, msg.en_cache_set) for msg in self.messages for _ in range(per)]:
-            raise ValueError(f"sub-messages do not split the {len(self.messages)} messages {per} ways in order")
-        for k, msg in enumerate(self.messages):
-            yield msg, subs[k * per : (k + 1) * per]
 
 
 @dataclass(frozen=True)
@@ -314,6 +244,7 @@ class DeliverySchedule:
         groups = []
         for g in sorted(self.groups):
             plan = self.groups[g]
+            coops = plan.sub_messages
             groups.append(
                 {
                     "m": g.m,
@@ -325,14 +256,14 @@ class DeliverySchedule:
                     "fronthaul_ndt": plan.tau_f,
                     "access_ndt": plan.tau_a,
                     "per_user_dof": plan.dof_value,
-                    "normalized_fronthaul_load": plan.fronthaul.normalized_load,
+                    "normalized_fronthaul_load": plan.fronthaul_load,
                     "messages": [
                         {
-                            "ue_group": list(msg.ue_group),
-                            "en_cache_set": list(msg.en_cache_set),
-                            "sub_messages": [{"coop_set": list(sub.coop_set)} for sub in block],
+                            "ue_group": list(ue_group),
+                            "en_cache_set": list(cache),
+                            "sub_messages": [{"coop_set": list(coop)} for coop in coops[cache]],
                         }
-                        for msg, block in plan.message_blocks()
+                        for ue_group, cache in plan.messages
                     ],
                     "fronthaul_transmissions": [
                         {
@@ -365,17 +296,17 @@ def build_schedule(
     demand = DemandVector.distinct(cfg) if demand is None else demand.validated(cfg)
     plans: dict[GroupIndex, GroupPlan] = {}
     terms = []
-    for group, f, i_star, tau_f, tau_a, d in _group_terms(cfg, dof):
+    for group, f, i_star, load, tau_f, tau_a, d in _group_terms(cfg, dof):
         plans[group] = GroupPlan(
             index=group,
             chosen_i=i_star,
             mode=fronthaul_mode(group.n, i_star),
             size_fraction=f,
+            fronthaul_load=load,
             tau_f=tau_f,
             tau_a=tau_a,
             dof_value=d,
             cfg=cfg,
-            demand=demand,
         )
-        terms.append((group, tau_f, tau_a, i_star))
+        terms.append((tau_f, tau_a))
     return DeliverySchedule(cfg, demand, plans, NdtBreakdown.from_terms(terms))

@@ -149,12 +149,7 @@ def test_demand_vector():
 
 
 def test_breakdown_from_terms_totals():
-    terms = [
-        (GroupIndex(0, 0), 0.25, 0.5, 2),
-        (GroupIndex(0, 1), 0.125, 0.25, 1),
-    ]
-    br = NdtBreakdown.from_terms(terms)
+    br = NdtBreakdown.from_terms([(0.25, 0.5), (0.125, 0.25)])
     assert br.total_f == 0.25 + 0.125
     assert br.total_a == 0.5 + 0.25
     assert br.total == br.total_f + br.total_a
-    assert br.per_group[GroupIndex(0, 1)].chosen_i == 1

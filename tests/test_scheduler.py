@@ -1,65 +1,73 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fogndt.bounds import ndt_upper
 from fogndt.dof import per_user_dof_default
 from fogndt.model import DemandVector, GroupIndex
+from fogndt.placement import fractional_size
 from fogndt.scheduler import (
     CODED_MULTICAST,
     NAIVE_MULTICAST,
+    _group_times,
     build_schedule,
     coded_messages_for_group,
     cooperation_increments,
     coop_sets_for,
+    fronthaul_payloads,
     fronthaul_plan,
-    iter_group_terms,
-    sub_messages_for_group,
 )
 from conftest import make_cfg, reference_3x3_group_pairs
 
 
+def _rows(group, cfg, dof=per_user_dof_default):
+    """``_group_times`` rows (total, i, load, tau_f, tau_a, d) of one group, by i."""
+    m, n = group
+    dof_row = [dof(m, j, cfg) for j in range(1, cfg.num_ens + 1)]
+    return {row[1]: row for row in _group_times(m, n, fractional_size(m, n, cfg), cfg, dof_row)}
+
+
 def test_message_count_3x3_group_1_1():
     cfg = make_cfg(nt=3, nr=3)
-    msgs = coded_messages_for_group(GroupIndex(1, 1), cfg, DemandVector.distinct(cfg))
+    msgs = coded_messages_for_group(GroupIndex(1, 1), cfg)
     assert len(msgs) == 9
     for msg in msgs:
         assert len(msg.ue_group) == 2
         assert len(msg.en_cache_set) == 1
-        assert len(msg.constituents) == 2
-        for lbl in msg.constituents:
-            assert lbl.ue in msg.ue_group
-            assert lbl.cached_ues == tuple(u for u in msg.ue_group if u != lbl.ue)
-            assert lbl.cached_ens == msg.en_cache_set
 
 
 def test_message_count_full_user_group():
     cfg = make_cfg(nt=3, nr=4, nfiles=4)
-    msgs = coded_messages_for_group(GroupIndex(3, 2), cfg, DemandVector.distinct(cfg))
+    msgs = coded_messages_for_group(GroupIndex(3, 2), cfg)
     assert len(msgs) == math.comb(3, 2)
     assert all(msg.ue_group == (1, 2, 3, 4) for msg in msgs)
 
 
 def test_bare_subfiles_for_uncached_group():
     cfg = make_cfg(nt=2, nr=2)
-    msgs = coded_messages_for_group(GroupIndex(0, 0), cfg, DemandVector.distinct(cfg))
+    msgs = coded_messages_for_group(GroupIndex(0, 0), cfg)
     assert [(m.ue_group, m.en_cache_set) for m in msgs] == [((1,), ()), ((2,), ())]
-    for msg in msgs:
-        (lbl,) = msg.constituents
-        assert lbl.cached_ues == () and lbl.cached_ens == ()
 
 
 def test_messages_demand_maps_files():
+    # Demands map to files only where the oracle realizes constituents, so
+    # the exported schedule differs between demands in its demand alone.
     cfg = make_cfg(nt=2, nr=2, nfiles=3)
-    msgs = coded_messages_for_group(GroupIndex(0, 1), cfg, DemandVector((3, 3)))
-    assert {lbl.file_id for msg in msgs for lbl in msg.constituents} == {3}
+    a = build_schedule(cfg, DemandVector((3, 3))).to_json()
+    b = build_schedule(cfg).to_json()
+    assert (a.pop("demand"), b.pop("demand")) == ([3, 3], [1, 2])
+    assert a == b
 
 
 def test_messages_emitted_in_lexicographic_order():
     cfg = make_cfg(nt=3, nr=3)
-    msgs = coded_messages_for_group(GroupIndex(1, 1), cfg, DemandVector.distinct(cfg))
+    msgs = coded_messages_for_group(GroupIndex(1, 1), cfg)
     keys = [(m.ue_group, m.en_cache_set) for m in msgs]
     assert keys == sorted(keys)
 
@@ -79,8 +87,9 @@ def test_candidates_2x2_against_straight_line_arithmetic():
                 math.comb(1, 0) * math.comb(2, 1) * f / 1.0,
             ),
         }
-        for i, (tau_f, _) in expected.items():
-            assert fronthaul_plan(GroupIndex(0, 1), i, cfg).normalized_load / r == tau_f
+        rows = _rows(GroupIndex(0, 1), cfg)
+        for i, (tau_f, tau_a) in expected.items():
+            assert rows[i][3:5] == (tau_f, tau_a)
         i_star = min(expected, key=lambda i: sum(expected[i]))
         plan = build_schedule(cfg).groups[GroupIndex(0, 1)]
         assert plan.chosen_i == i_star == (0 if r == 1.0 else 1)
@@ -92,14 +101,14 @@ def test_candidates_3x3_single_en_fronthaul_form():
     # closed form 3 * C(3, m+1) * i * f / (2r).
     cfg = make_cfg(nt=3, nr=3, mu_t=0.4, mu_r=0.3, r=2.0)
     f = 0.3 ** 1 * (1 - 0.3) ** 2 * 0.4 ** 1 * (1 - 0.4) ** 2
+    rows = _rows(GroupIndex(1, 1), cfg)
     for i in (0, 1, 2):
-        load = fronthaul_plan(GroupIndex(1, 1), i, cfg).normalized_load
-        assert load / cfg.fronthaul_r == 3 * math.comb(3, 2) * i * f / (2 * 2.0)
+        assert rows[i][2] / cfg.fronthaul_r == 3 * math.comb(3, 2) * i * f / (2 * 2.0)
 
 
 def test_candidates_zero_fronthaul_at_i_zero():
     cfg = make_cfg(nt=4, nr=3, mu_t=0.3, mu_r=0.3)
-    assert fronthaul_plan(GroupIndex(1, 1), 0, cfg).normalized_load == 0.0
+    assert _rows(GroupIndex(1, 1), cfg)[0][2] == 0.0
 
 
 def test_candidates_n0_single_entry():
@@ -112,16 +121,22 @@ def test_candidates_n0_single_entry():
 
 
 def test_candidates_match_group_terms_bitwise():
-    # The streaming evaluator, the schedule and the fronthaul plans share arithmetic.
+    # Each plan carries the row min picks among its group's candidates, and
+    # the closed-form bound sums the same per-group times.
     for cfg in (
         make_cfg(nt=3, nr=4, nfiles=4, mu_t=0.37, mu_r=0.81, r=0.7),
         make_cfg(nt=5, nr=2, mu_t=0.64, mu_r=0.11, r=13.0),
     ):
         schedule = build_schedule(cfg)
-        for group, f, i_star, tau_f, tau_a, _d in iter_group_terms(cfg):
-            plan = schedule.groups[group]
-            assert (plan.chosen_i, plan.tau_f, plan.tau_a) == (i_star, tau_f, tau_a)
-            assert fronthaul_plan(group, i_star, cfg).normalized_load / cfg.fronthaul_r == tau_f
+        assert len(schedule.groups) == cfg.num_ues * (cfg.num_ens + 1)
+        for group, plan in schedule.groups.items():
+            _total, i_star, load, tau_f, tau_a, d = min(_rows(group, cfg).values())
+            assert plan.size_fraction == fractional_size(*group, cfg)
+            assert (plan.chosen_i, plan.fronthaul_load, plan.tau_f, plan.tau_a, plan.dof_value) == (
+                i_star, load, tau_f, tau_a, d
+            )
+            assert plan.fronthaul_load / cfg.fronthaul_r == plan.tau_f
+        assert ndt_upper(cfg) == schedule.breakdown.total
 
 
 def test_optimize_prefers_no_fronthaul_when_r_tiny():
@@ -158,23 +173,28 @@ def test_optimize_ties_go_to_smaller_i():
 
 
 def test_optimize_rejects_n0():
-    # A group cached at no edge node has no cooperation choice.
-    cfg = make_cfg()
-    msgs = coded_messages_for_group(GroupIndex(0, 0), cfg, DemandVector.distinct(cfg))
-    with pytest.raises(ValueError):
-        sub_messages_for_group(GroupIndex(0, 0), 0, msgs, cfg)
+    # A group cached at no edge node has no cooperation choice: where every
+    # other group skips the costly fronthaul, it still takes full cooperation.
+    cfg = make_cfg(nt=3, nr=3, r=1e-9)
+    groups = build_schedule(cfg).groups
+    assert all(plan.chosen_i == (cfg.num_ens if g.n == 0 else 0) for g, plan in groups.items())
 
 
 def test_sub_message_split_counts():
-    cfg = make_cfg(nt=4, nr=2, mu_t=0.5, mu_r=0.5)
-    demand = DemandVector.distinct(cfg)
-    msgs = coded_messages_for_group(GroupIndex(0, 1), cfg, demand)
-    subs = sub_messages_for_group(GroupIndex(0, 1), 2, msgs, cfg)
-    assert len(subs) == len(msgs) * math.comb(3, 2)
-    for sub in subs:
-        assert set(sub.en_cache_set) <= set(sub.coop_set)
-        assert len(sub.coop_set) == 3
-        assert sub.size_fraction == msgs[0].size_fraction / math.comb(3, 2)
+    # Cooperation level 3 is worth its fronthaul under this step DoF, so
+    # group (0, 1) splits each message among binom(3, 2) cooperation sets.
+    def step(m, j, cfg):
+        return 1.0 if j >= 3 else 0.3
+
+    cfg = make_cfg(nt=4, nr=2, mu_t=0.5, mu_r=0.5, r=1e6)
+    plan = build_schedule(cfg, dof=step).groups[GroupIndex(0, 1)]
+    assert plan.chosen_i == 2
+    assert list(plan.sub_messages) == [(1,), (2,), (3,), (4,)]
+    for cache, coops in plan.sub_messages.items():
+        assert len(coops) == math.comb(3, 2)
+        for coop in coops:
+            assert set(cache) <= set(coop)
+            assert len(coop) == 3
 
 
 def test_coop_sets_sorted_and_supersets():
@@ -196,31 +216,31 @@ def test_fronthaul_plan_i_zero_is_empty():
     plan = fronthaul_plan(GroupIndex(0, 2), 0, cfg)
     assert plan.mode == CODED_MULTICAST
     assert plan.transmissions == ()
-    assert plan.normalized_load == 0.0
 
 
 def test_fronthaul_load_matches_min_rule():
     cfg = make_cfg(nt=4, nr=3, nfiles=3, mu_t=0.3, mu_r=0.2)
-    demand = DemandVector.distinct(cfg)
     for n in (1, 2):
-        f = coded_messages_for_group(GroupIndex(1, n), cfg, demand)[0].size_fraction
+        f = fractional_size(1, n, cfg)
+        rows = _rows(GroupIndex(1, n), cfg)
         for i in range(cfg.num_ens - n + 1):
             plan = fronthaul_plan(GroupIndex(1, n), i, cfg)
             expected = math.comb(3, 2) * math.comb(4, n) * min(1.0, i / (n + 1)) * f
-            assert plan.normalized_load == expected
+            assert rows[i][2] == expected
             per_pair = math.comb(n + i, n + 1) if plan.mode == CODED_MULTICAST else math.comb(n + i, n)
             assert len(plan.transmissions) == math.comb(4, n + i) * math.comb(3, 2) * per_pair
 
 
 def test_fronthaul_n0_multicasts_every_message():
     cfg = make_cfg(nt=3, nr=2, mu_t=0.4, mu_r=0.4)
-    demand = DemandVector.distinct(cfg)
-    msgs = coded_messages_for_group(GroupIndex(0, 0), cfg, demand)
+    msgs = coded_messages_for_group(GroupIndex(0, 0), cfg)
     plan = fronthaul_plan(GroupIndex(0, 0), cfg.num_ens, cfg)
     assert plan.mode == NAIVE_MULTICAST
     assert len(plan.transmissions) == len(msgs)
     assert all(tx.coop_set == (1, 2, 3) for tx in plan.transmissions)
-    assert plan.normalized_load == math.comb(2, 1) * msgs[0].size_fraction
+    scheduled = build_schedule(cfg).groups[GroupIndex(0, 0)]
+    assert scheduled.chosen_i == cfg.num_ens
+    assert scheduled.fronthaul_load == math.comb(2, 1) * fractional_size(0, 0, cfg)
     # Full cooperation is the only admissible increment of an uncached group.
     with pytest.raises(ValueError):
         fronthaul_plan(GroupIndex(0, 0), 0, cfg)
@@ -344,27 +364,63 @@ def test_sub_message_counts_in_schedule():
         for g, plan in schedule.groups.items():
             expected_msgs = math.comb(nr, g.m + 1) * math.comb(nt, g.n)
             assert len(plan.messages) == expected_msgs
+            assert len(plan.sub_messages) == math.comb(nt, g.n)
             per_msg = math.comb(nt - g.n, plan.chosen_i)
-            assert len(plan.sub_messages) == expected_msgs * per_msg
-            for k, (msg, entry) in enumerate(zip(plan.messages, exported[g], strict=True)):
-                block = plan.sub_messages[k * per_msg : (k + 1) * per_msg]
-                assert entry["sub_messages"] == [{"coop_set": list(s.coop_set)} for s in block]
-                for sub in block:
-                    assert (sub.ue_group, sub.en_cache_set) == (msg.ue_group, msg.en_cache_set)
-                    assert set(sub.en_cache_set) <= set(sub.coop_set)
-                    assert len(sub.coop_set) == g.n + plan.chosen_i
+            for msg, entry in zip(plan.messages, exported[g], strict=True):
+                coops = plan.sub_messages[msg.en_cache_set]
+                assert len(coops) == per_msg
+                assert entry["sub_messages"] == [{"coop_set": list(coop)} for coop in coops]
+                for coop in coops:
+                    assert set(msg.en_cache_set) <= set(coop)
+                    assert len(coop) == g.n + plan.chosen_i
+
+    def split_count(plan):
+        return sum(len(plan.sub_messages[msg.en_cache_set]) for msg in plan.messages)
+
     groups = schedule.groups
-    assert (groups[GroupIndex(0, 1)].mode, len(groups[GroupIndex(0, 1)].sub_messages)) == (NAIVE_MULTICAST, 5 * 2 * 6)
-    assert (groups[GroupIndex(0, 2)].mode, len(groups[GroupIndex(0, 2)].sub_messages)) == (CODED_MULTICAST, 10 * 2 * 3)
+    assert (groups[GroupIndex(0, 1)].mode, split_count(groups[GroupIndex(0, 1)])) == (NAIVE_MULTICAST, 5 * 2 * 6)
+    assert (groups[GroupIndex(0, 2)].mode, split_count(groups[GroupIndex(0, 2)])) == (CODED_MULTICAST, 10 * 2 * 3)
 
 
-def test_export_rejects_sub_messages_that_do_not_pair_with_messages():
+@settings(deadline=None)
+@given(
+    nt=st.integers(2, 5),
+    nr=st.integers(2, 4),
+    mu_t=st.floats(0.05, 0.95),
+    mu_r=st.floats(0.05, 0.95),
+    r=st.sampled_from([1e-3, 0.5, 4.0, 1e6]),
+    data=st.data(),
+)
+def test_schedule_json_follows_index_set_rules(nt, nr, mu_t, mu_r, r, data):
+    # Messages are user groups x cache sets, each split among the sorted
+    # cooperation supersets of its cache set; transmissions follow
+    # fronthaul_payloads per cooperation set and user group.
+    nfiles = data.draw(st.integers(nr, nr + 2))
+    demand = tuple(data.draw(st.lists(st.integers(1, nfiles), min_size=nr, max_size=nr)))
+    level = data.draw(st.integers(1, nt))
+    low = data.draw(st.floats(0.1, 1.0))
+
     def step(m, j, cfg):
-        return 1.0 if j >= 3 else 0.3
+        return 1.0 if j >= level else low
 
-    for change in (lambda subs: subs[:-1], lambda subs: subs[::-1]):
-        schedule = build_schedule(make_cfg(nt=5, nr=2, mu_t=0.5, mu_r=0.25, r=10.0), dof=step)
-        plan = schedule.groups[GroupIndex(0, 1)]
-        vars(plan)["sub_messages"] = change(plan.sub_messages)
-        with pytest.raises(ValueError):
-            schedule.to_json()
+    cfg = make_cfg(nt=nt, nr=nr, nfiles=nfiles, mu_t=mu_t, mu_r=mu_r, r=r)
+    doc = build_schedule(cfg, DemandVector(demand), dof=step).to_json()
+    assert doc["demand"] == list(demand)
+    ens = range(1, nt + 1)
+    for g in doc["groups"]:
+        m, n, i, mode = g["m"], g["n"], g["cooperation_increment"], g["fronthaul_mode"]
+        assert (mode == CODED_MULTICAST) == (i <= n)
+        assert g["fronthaul_ndt"] == g["normalized_fronthaul_load"] / r
+        ue_groups = list(itertools.combinations(range(1, nr + 1), m + 1))
+        keys = [(tuple(msg["ue_group"]), tuple(msg["en_cache_set"])) for msg in g["messages"]]
+        assert keys == list(itertools.product(ue_groups, itertools.combinations(ens, n)))
+        for msg in g["messages"]:
+            cache = set(msg["en_cache_set"])
+            supersets = sorted(c for c in itertools.combinations(ens, n + i) if cache <= set(c))
+            assert [tuple(sub["coop_set"]) for sub in msg["sub_messages"]] == supersets
+        assert g["fronthaul_transmissions"] == [
+            {"ue_group": list(u), "coop_set": list(coop), "cache_sets": [list(c) for c in caches]}
+            for coop in itertools.combinations(ens, n + i)
+            for u in ue_groups
+            for caches in fronthaul_payloads(coop, n, mode)
+        ]
