@@ -42,7 +42,6 @@ from .placement import (
 from .scheduler import (
     CodedMessage,
     DeliverySchedule,
-    FronthaulPlan,
     GroupPlan,
     build_schedule,
     coded_messages_for_group,

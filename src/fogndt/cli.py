@@ -163,11 +163,14 @@ def _parse_range(spec: str) -> range:
 def _cmd_gap_scan(args) -> int:
     mu_values = [float(t) for t in args.mu_values.split(",") if t] if args.mu_values else list(_DEFAULT_GAP_MU)
     r_values = [float(t) for t in args.r_values.split(",") if t] if args.r_values else list(_DEFAULT_GAP_R)
+    nts, nrs = _parse_range(args.nt_range), _parse_range(args.nr_range)
+    if not (nts and nrs and mu_values and r_values):
+        raise ConfigError("grid", "gap-scan grid is empty: every axis needs at least one value")
     rows = []
     worst = (-math.inf, None)
     violated = False
-    for nt in _parse_range(args.nt_range):
-        for nr in _parse_range(args.nr_range):
+    for nt in nts:
+        for nr in nrs:
             for mu_t in mu_values:
                 for mu_r in mu_values:
                     for r in r_values:

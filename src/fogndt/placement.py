@@ -230,8 +230,16 @@ def placement_from_replay(doc: dict) -> PlacementRealization:
 
     Every bit of every file must be labelled exactly once: file ids are
     exactly 1..num_files, and each cell's ranges are integer, ascending,
-    nonempty and inside the file.  Anything else raises ValueError.
+    nonempty and inside the file.  Anything else, a missing key or a field
+    of the wrong type included, raises ValueError.
     """
+    try:
+        return _placement_from_replay(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed replay: {type(exc).__name__}: {exc}") from None
+
+
+def _placement_from_replay(doc: dict) -> PlacementRealization:
     if doc.get("format") != REPLAY_FORMAT:
         raise ValueError(f"unsupported replay format: {doc.get('format')!r}")
     cfg = validate_config(config_from_dict(doc["config"]))
@@ -239,6 +247,8 @@ def placement_from_replay(doc: dict) -> PlacementRealization:
     if not type(size) is int or size < 1:
         raise ValueError(f"file_size_bits must be a positive integer: {size!r}")
     seed = doc["seed"]
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer or null: {seed!r}")
     labels = np.zeros((cfg.num_files, size), dtype=_label_type(cfg))
     seen: set[int] = set()
     for entry in doc["files"]:

@@ -48,8 +48,7 @@ class CodedMessage(NamedTuple):
     en_cache_set: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FronthaulTransmission:
+class FronthaulTransmission(NamedTuple):
     """One fronthaul payload for ``coop_set``: the sub-messages XORed into it.
 
     ``cache_sets`` holds the edge-node cache sets of the combined
@@ -59,12 +58,6 @@ class FronthaulTransmission:
     ue_group: tuple[int, ...]
     coop_set: tuple[int, ...]
     cache_sets: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class FronthaulPlan:
-    mode: str
-    transmissions: tuple[FronthaulTransmission, ...]
 
 
 def coded_messages_for_group(group: GroupIndex, cfg: NetworkConfig) -> list[CodedMessage]:
@@ -150,8 +143,9 @@ def fronthaul_payloads(coop: tuple[int, ...], n: int, mode: str) -> list[tuple[t
     return [tuple(itertools.combinations(d, n)) for d in itertools.combinations(coop, n + 1)]
 
 
-def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> FronthaulPlan:
-    """Fronthaul transmissions for one group at cooperation increment i.
+def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[FronthaulTransmission, ...]:
+    """Fronthaul transmissions for one group at cooperation increment i, in
+    the mode :func:`fronthaul_mode` picks.
 
     At i = 0 every owning set already caches its sub-message and the
     transmission list is empty.
@@ -168,7 +162,7 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> FronthaulPl
         payloads = fronthaul_payloads(coop, n, mode)
         for ue_group in ue_groups:
             transmissions.extend(FronthaulTransmission(ue_group, coop, c) for c in payloads)
-    return FronthaulPlan(mode, tuple(transmissions))
+    return tuple(transmissions)
 
 
 def _group_terms(cfg: NetworkConfig, dof: DofProvider):
@@ -227,7 +221,7 @@ class GroupPlan:
         }
 
     @cached_property
-    def fronthaul(self) -> FronthaulPlan:
+    def fronthaul(self) -> tuple[FronthaulTransmission, ...]:
         return fronthaul_plan(self.index, self.chosen_i, self.cfg)
 
 
@@ -271,7 +265,7 @@ class DeliverySchedule:
                             "coop_set": list(tx.coop_set),
                             "cache_sets": [list(c) for c in tx.cache_sets],
                         }
-                        for tx in plan.fronthaul.transmissions
+                        for tx in plan.fronthaul
                     ],
                 }
             )

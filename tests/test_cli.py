@@ -260,6 +260,16 @@ def test_gap_scan_flags_degenerate_rows(capsys):
     assert flags["0.5"] == "0"
 
 
+@pytest.mark.parametrize("flag, value", [("--nt-range", "6:2"), ("--mu-values", ",")])
+def test_gap_scan_empty_grid_exits_2(capsys, flag, value):
+    code, out, err = _run(
+        capsys, "gap-scan", "--nt-range", "2:2", "--nr-range", "2:2",
+        "--mu-values", "0.5", "--r-values", "1", flag, value,
+    )
+    assert code == 2
+    assert out == "" and "grid is empty" in err
+
+
 def test_gap_scan_default_grid_within_bound(capsys):
     code, out, _ = _run(capsys, "gap-scan")
     assert code == 0

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +55,10 @@ def test_seed_sweep_3x3_always_decodes():
         assert verify_decodability(report) == []
 
 
+def _bits(rec):
+    return np.unpackbits(np.frombuffer(bytes.fromhex(rec.payload_hex), dtype=np.uint8))[: rec.bit_len]
+
+
 @pytest.mark.parametrize("nt, nr", [(3, 2), (2, 3)])
 def test_access_records_slice_the_xor_of_demanded_cells(nt, nr):
     # Reference: constituent q of a message is user q's demanded file at
@@ -69,6 +72,7 @@ def test_access_records_slice_the_xor_of_demanded_cells(nt, nr):
     placement = sample_placement(cfg, 3000, seed=23)
     distinct = tuple(range(1, nr + 1))
     ens = range(1, nt + 1)
+    decodes = [0, 0]  # edge-node decodes of naive and of coded fronthaul payloads
     for demand in (distinct, distinct[1:] + distinct[:1], (2,) * nr):
         schedule = build_schedule(cfg, DemandVector(demand), dof=increasing)
         report = execute_schedule(placement, schedule.demand, schedule, record_payloads=True)
@@ -97,6 +101,31 @@ def test_access_records_slice_the_xor_of_demanded_cells(nt, nr):
                         start = end
         got = [rec[1:] for rec in report.payloads if rec.channel == "access"]
         assert len(expected) > 20 and got == expected
+        # Each fronthaul record is the zero-padded XOR of the access slices its
+        # cache sets name (none recorded: empty), and an edge node of its
+        # cooperation set caching all of them but one recovers that one.
+        slices = {
+            (rec.m, rec.n, rec.ue_group, rec.coop_set, rec.cache_sets[0]): _bits(rec)
+            for rec in report.payloads
+            if rec.channel == "access"
+        }
+        for rec in report.payloads:
+            if rec.channel != "fronthaul":
+                continue
+            padded = []
+            for cache in rec.cache_sets:
+                piece = slices.get((rec.m, rec.n, rec.ue_group, rec.coop_set, cache), np.empty(0, np.uint8))
+                assert piece.size <= rec.bit_len
+                padded.append(np.pad(piece, (0, rec.bit_len - piece.size)))
+            payload = _bits(rec)
+            assert np.array_equal(payload, np.bitwise_xor.reduce(padded))
+            for p in rec.coop_set:
+                unknown = [k for k, cache in enumerate(rec.cache_sets) if p not in cache]
+                if len(unknown) == 1:
+                    known = [row for k, row in enumerate(padded) if k != unknown[0]]
+                    assert np.array_equal(np.bitwise_xor.reduce([payload, *known]), padded[unknown[0]])
+                    decodes[len(rec.cache_sets) > 1] += 1
+    assert min(decodes) > 0
 
 
 def test_report_is_deterministic():
@@ -271,8 +300,7 @@ def _faulty_run(edit_group, edit):
 
 def _edit_transmissions(change):
     def edit(plan):
-        fronthaul = plan.fronthaul
-        vars(plan)["fronthaul"] = replace(fronthaul, transmissions=change(list(fronthaul.transmissions)))
+        vars(plan)["fronthaul"] = change(list(plan.fronthaul))
 
     return edit
 
@@ -280,7 +308,7 @@ def _edit_transmissions(change):
 def test_wrong_cache_set_fails_at_an_edge_node():
     def wrong(txs):
         assert txs[0].cache_sets == ((1,), (2,))
-        return (replace(txs[0], cache_sets=((1,), (3,))), *txs[1:])
+        return (txs[0]._replace(cache_sets=((1,), (3,))), *txs[1:])
 
     with pytest.raises(DecodeFailure) as err:
         _faulty_run(GroupIndex(1, 1), _edit_transmissions(wrong))

@@ -264,6 +264,24 @@ def test_replay_rejects_descending_ranges():
         placement_from_replay(doc)
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda doc: doc.pop("config"),
+        lambda doc: doc["files"][0]["cells"][0].pop("count"),
+        lambda doc: doc.update(files=[1, 2]),
+        lambda doc: doc.update(files=None),
+        lambda doc: doc.update(seed="x"),
+    ],
+    ids=["no_config", "no_count", "int_files", "null_files", "str_seed"],
+)
+def test_replay_structural_fault_raises_value_error(fault):
+    doc = _replay_doc()
+    fault(doc)
+    with pytest.raises(ValueError):
+        placement_from_replay(doc)
+
+
 def test_replay_rejects_short_content_blob():
     cfg = make_cfg(nt=2, nr=2, nfiles=2)
     p = sample_placement(cfg, 64, seed=11)
@@ -283,7 +301,7 @@ def _corrupt(doc, data):
     kind = data.draw(
         st.sampled_from(
             ["range_end", "range_start", "file_id", "drop_file", "drop_cell", "drop_range",
-             "dup_range", "count", "size", "bad_node", "non_int"]
+             "dup_range", "count", "size", "bad_node", "non_int", "drop_key", "wrong_type"]
         )
     )
     entry = data.draw(st.sampled_from(files))
@@ -312,6 +330,14 @@ def _corrupt(doc, data):
         doc["file_size_bits"] += delta
     elif kind == "bad_node":
         cell["ens"] = cell["ens"] + [data.draw(st.sampled_from([-1, 0, 3, 99]))]
+    elif kind == "drop_key":
+        target = data.draw(st.sampled_from([doc, doc["config"], entry, cell]))
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    elif kind == "wrong_type":
+        # Node ids are left to bad_node: a list of them is a valid relabelling.
+        target = data.draw(st.sampled_from([doc, doc["config"], entry, cell]))
+        key = data.draw(st.sampled_from(sorted(set(target) - {"ues", "ens"})))
+        target[key] = data.draw(st.sampled_from([None, "x", 1.5, [1, 2], {"k": 1}]))
     else:
         cell["ranges"][k][0] = data.draw(st.sampled_from([0.5, "0", None, True]))
 

@@ -20,6 +20,7 @@ from fogndt.scheduler import (
     coded_messages_for_group,
     cooperation_increments,
     coop_sets_for,
+    fronthaul_mode,
     fronthaul_payloads,
     fronthaul_plan,
 )
@@ -206,16 +207,17 @@ def test_coop_sets_sorted_and_supersets():
 def test_fronthaul_mode_selection():
     cfg = make_cfg(nt=4, nr=2, mu_t=0.5, mu_r=0.5)
     # i = 1: XOR combining sends binom(2,2)=1 payload against binom(2,1)=2.
-    assert fronthaul_plan(GroupIndex(0, 1), 1, cfg).mode == CODED_MULTICAST
+    assert fronthaul_mode(1, 1) == CODED_MULTICAST
+    assert all(len(tx.cache_sets) == 2 for tx in fronthaul_plan(GroupIndex(0, 1), 1, cfg))
     # i = 3: binom(4,1)=4 one-by-one payloads against binom(4,2)=6 XORs.
-    assert fronthaul_plan(GroupIndex(0, 1), 3, cfg).mode == NAIVE_MULTICAST
+    assert fronthaul_mode(1, 3) == NAIVE_MULTICAST
+    assert all(len(tx.cache_sets) == 1 for tx in fronthaul_plan(GroupIndex(0, 1), 3, cfg))
 
 
 def test_fronthaul_plan_i_zero_is_empty():
     cfg = make_cfg(nt=3, nr=2, mu_t=0.4, mu_r=0.4)
-    plan = fronthaul_plan(GroupIndex(0, 2), 0, cfg)
-    assert plan.mode == CODED_MULTICAST
-    assert plan.transmissions == ()
+    assert fronthaul_mode(2, 0) == CODED_MULTICAST
+    assert fronthaul_plan(GroupIndex(0, 2), 0, cfg) == ()
 
 
 def test_fronthaul_load_matches_min_rule():
@@ -227,17 +229,17 @@ def test_fronthaul_load_matches_min_rule():
             plan = fronthaul_plan(GroupIndex(1, n), i, cfg)
             expected = math.comb(3, 2) * math.comb(4, n) * min(1.0, i / (n + 1)) * f
             assert rows[i][2] == expected
-            per_pair = math.comb(n + i, n + 1) if plan.mode == CODED_MULTICAST else math.comb(n + i, n)
-            assert len(plan.transmissions) == math.comb(4, n + i) * math.comb(3, 2) * per_pair
+            per_pair = math.comb(n + i, n + 1 if fronthaul_mode(n, i) == CODED_MULTICAST else n)
+            assert len(plan) == math.comb(4, n + i) * math.comb(3, 2) * per_pair
 
 
 def test_fronthaul_n0_multicasts_every_message():
     cfg = make_cfg(nt=3, nr=2, mu_t=0.4, mu_r=0.4)
     msgs = coded_messages_for_group(GroupIndex(0, 0), cfg)
     plan = fronthaul_plan(GroupIndex(0, 0), cfg.num_ens, cfg)
-    assert plan.mode == NAIVE_MULTICAST
-    assert len(plan.transmissions) == len(msgs)
-    assert all(tx.coop_set == (1, 2, 3) for tx in plan.transmissions)
+    assert fronthaul_mode(0, cfg.num_ens) == NAIVE_MULTICAST
+    assert len(plan) == len(msgs)
+    assert all(tx.coop_set == (1, 2, 3) for tx in plan)
     scheduled = build_schedule(cfg).groups[GroupIndex(0, 0)]
     assert scheduled.chosen_i == cfg.num_ens
     assert scheduled.fronthaul_load == math.comb(2, 1) * fractional_size(0, 0, cfg)
@@ -319,7 +321,6 @@ def test_schedule_mode_identity():
                 assert plan.mode == NAIVE_MULTICAST
             else:
                 assert (plan.mode == CODED_MULTICAST) == (plan.chosen_i <= g.n)
-                assert plan.fronthaul.mode == plan.mode
 
 
 def test_schedule_total_non_increasing_in_r():
