@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
-from .model import NetworkConfig, binom, config_to_dict, validate_config
+from .model import ConfigError, NetworkConfig, binom, config_to_dict, validate_config
 from .scheduler import _group_terms
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
@@ -87,8 +87,11 @@ def _ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     return best_f + best_a, best_l1, best_l2
 
 
-def _gap_ratio(upper: float, lower: float) -> float:
-    """Upper over lower bound; 1 when both vanish, +inf when only the lower does."""
+def _gap_ratio(cfg: NetworkConfig, upper: float, lower: float) -> float:
+    """Upper over lower bound; 1 when both vanish, +inf when only the lower does.
+    An r so small that a bound overflows leaves no ratio: a ConfigError."""
+    if not (math.isfinite(upper) and math.isfinite(lower)):
+        raise ConfigError("fronthaul_r", f"fronthaul_r too small, the bounds overflow: {cfg.fronthaul_r!r}")
     if lower > 0.0:
         return upper / lower
     return 1.0 if upper == 0.0 else math.inf
@@ -97,7 +100,7 @@ def _gap_ratio(upper: float, lower: float) -> float:
 def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Multiplicative gap between the achievable NDT and the converse bound."""
     validate_config(cfg)
-    return _gap_ratio(_ndt_upper(cfg, dof), _ndt_lower(cfg)[0])
+    return _gap_ratio(cfg, _ndt_upper(cfg, dof), _ndt_lower(cfg)[0])
 
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
@@ -123,7 +126,7 @@ def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -
         cfg=cfg,
         tau_upper=upper,
         tau_lower=lower,
-        gap=_gap_ratio(upper, lower),
+        gap=_gap_ratio(cfg, upper, lower),
         argmax_l1=l1,
         argmax_l2=l2,
         limit_inf_r=_limit_infinite_r(cfg, dof),

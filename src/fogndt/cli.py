@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -197,7 +198,9 @@ def _cmd_gap_scan(args) -> int:
     return 4 if violated else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The five-subcommand parser, built once per process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="fogndt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,9 +250,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -261,3 +263,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -8,16 +8,17 @@ chosen per group to minimize the summed fronthaul and access delivery time.
 The fronthaul itself sends sub-messages either one by one or XOR-combined
 over (n+1)-subsets, whichever is cheaper.
 
-Floating-point note: per-group times are evaluated with a fixed operand
-order, and totals accumulate in ascending (m, n) order, so the closed-form
-bound and a schedule breakdown agree bit for bit.
+Floating-point note: the per-shape row table fixes the operand order of
+every per-group product, the scan over increments breaks ties to smaller i,
+and totals accumulate in ascending (m, n) order, so the closed-form bound
+and a schedule breakdown agree bit for bit.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .dof import DofProvider, per_user_dof_default
@@ -91,33 +92,6 @@ def fronthaul_mode(n: int, i: int) -> str:
     return CODED_MULTICAST if i <= n else NAIVE_MULTICAST
 
 
-def _check_increment(group: GroupIndex, i: int, cfg: NetworkConfig) -> None:
-    if i not in cooperation_increments(group.n, cfg.num_ens):
-        raise ValueError(f"cooperation increment {i} not admissible for group {tuple(group)}")
-
-
-def _group_times(m: int, n: int, f: float, cfg: NetworkConfig, dof_row) -> list[tuple]:
-    """(total, i, load, tau_f, tau_a, d) for every admissible increment i of group (m, n).
-
-    ``load`` is the normalized fronthaul load, ``tau_f = load / r`` the
-    fronthaul time, and ``tau_a`` the access time at the per-user DoF
-    ``d = dof_row[n + i - 1]`` of cooperation level n + i.  Rows come in
-    ascending i, so ``min`` over them breaks total-time ties to smaller i.
-    """
-    nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
-    b_en = math.comb(nt, n)
-    b_load = math.comb(nr, m + 1) * b_en
-    access = math.comb(nr - 1, m) * b_en * f
-    rows = []
-    for i in cooperation_increments(n, nt):
-        load = b_load * min(1.0, i / (n + 1)) * f
-        d = dof_row[n + i - 1]
-        tau_f = load / r
-        tau_a = access / d
-        rows.append((tau_f + tau_a, i, load, tau_f, tau_a, d))
-    return rows
-
-
 def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> list[tuple[int, ...]]:
     """The binom(num_ens - n, i) supersets of size n + i, sorted lexicographically."""
     others = [p for p in range(1, cfg.num_ens + 1) if p not in en_cache_set]
@@ -152,8 +126,9 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
     """
     validate_config(cfg)
     validate_group(group, cfg)
-    _check_increment(group, i, cfg)
     m, n = group
+    if i not in cooperation_increments(n, cfg.num_ens):
+        raise ValueError(f"cooperation increment {i} not admissible for group {tuple(group)}")
     nt = cfg.num_ens
     ue_groups = list(itertools.combinations(range(1, cfg.num_ues + 1), m + 1))
     mode = fronthaul_mode(n, i)
@@ -165,29 +140,57 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
     return tuple(transmissions)
 
 
-def _group_terms(cfg: NetworkConfig, dof: DofProvider):
-    """Yield (group, f, chosen_i, load, tau_f, tau_a, dof_value) of the row ``min``
-    picks per group, in ascending (m, n) order, for a config the caller has validated.
+@cache
+def _row_table(nt: int, nr: int) -> tuple:
+    """Per m, one ``(group, n, c_access, rows)`` per n; ``rows`` holds ``(i, c_load, j)``
+    per admissible i, ascending.  The constant factor of each load is built here,
+    once per shape and in a fixed operand order; j = n + i - 1 indexes the DoF row."""
+    table = []
+    for m in range(nr):
+        groups = []
+        for n in range(nt + 1):
+            b_en = math.comb(nt, n)
+            b_load = math.comb(nr, m + 1) * b_en
+            rows = tuple((i, b_load * min(1.0, i / (n + 1)), n + i - 1) for i in cooperation_increments(n, nt))
+            groups.append((GroupIndex(m, n), n, math.comb(nr - 1, m) * b_en, rows))
+        table.append(tuple(groups))
+    return tuple(table)
 
-    Groups with zero subfile fraction are skipped.  This is the single source
-    of per-group times for both the schedule breakdown and the closed-form
-    bound, which keeps the two bit-identical.
+
+def _group_terms(cfg: NetworkConfig, dof: DofProvider):
+    """Yield (group, f, chosen_i, load, tau_f, tau_a, dof_value) of the fastest increment
+    per group, in ascending (m, n) order, for a config the caller has validated.
+
+    ``load = c_load * f``, ``tau_f = load / r`` and ``tau_a = (c_access * f) / d``;
+    a row replaces the best only if its total is strictly smaller, so ties go to
+    the smaller i.  Groups with zero subfile fraction are skipped.  This is the
+    single source of per-group times for both the schedule breakdown and the
+    closed-form bound, which keeps the two bit-identical.
     """
-    nt, nr = cfg.num_ens, cfg.num_ues
+    nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
     mu_r, mu_t = cfg.mu_r, cfg.mu_t
     pow_mr = [mu_r ** k for k in range(nr + 1)]
     pow_qr = [(1.0 - mu_r) ** k for k in range(nr + 1)]
     pow_mt = [mu_t ** k for k in range(nt + 1)]
     pow_qt = [(1.0 - mu_t) ** k for k in range(nt + 1)]
-    for m in range(nr):
+    for m, groups in enumerate(_row_table(nt, nr)):
         dof_row = [dof(m, j, cfg) for j in range(1, nt + 1)]
         ue_part = pow_mr[m] * pow_qr[nr - m]
-        for n in range(nt + 1):
+        for group, n, c_access, rows in groups:
             f = ue_part * pow_mt[n] * pow_qt[nt - n]
             if f == 0.0:
                 continue
-            _total, i_star, load, tau_f, tau_a, d = min(_group_times(m, n, f, cfg, dof_row))
-            yield GroupIndex(m, n), f, i_star, load, tau_f, tau_a, d
+            access = c_access * f
+            best = None
+            for i, c_load, j in rows:
+                load = c_load * f
+                tau_f = load / r
+                tau_a = access / dof_row[j]
+                total = tau_f + tau_a
+                if best is None or total < best_total:
+                    best_total = total
+                    best = (group, f, i, load, tau_f, tau_a, dof_row[j])
+            yield best
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from fogndt.bounds import (
     ndt_upper,
     ndt_upper_limit_infinite_r,
 )
-from fogndt.model import NetworkConfig
+from fogndt.model import ConfigError, NetworkConfig
 from fogndt.scheduler import build_schedule
 from conftest import make_cfg, random_config, reference_3x3_group_pairs
 
@@ -156,6 +157,20 @@ def test_report_degenerate_point():
     assert report.tau_upper == 0.0
     assert report.tau_lower == 0.0
     assert report.gap == 1.0
+
+
+def test_overflowing_bounds_raise_config_error():
+    # At r = 1e-310 the fronthaul time of an uncached group overflows to inf.
+    cfg = make_cfg(r=1e-310)
+    assert ndt_upper(cfg) == math.inf
+    for call in (bounds_report, gap):
+        with pytest.raises(ConfigError) as info:
+            call(cfg)
+        assert info.value.field == "fronthaul_r"
+    # Infinite r only removes the fronthaul cost: both bounds stay finite.
+    report = bounds_report(make_cfg(r=math.inf))
+    assert math.isfinite(report.tau_upper) and math.isfinite(report.tau_lower)
+    assert report.tau_upper == report.limit_inf_r
 
 
 def test_csv_row_uses_repr_floats():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,15 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fogndt
 from fogndt.bounds import CSV_HEADER, bounds_report, gap
 from fogndt.cli import main
 from conftest import make_cfg
+
+_SRC = str(Path(fogndt.__file__).resolve().parents[1])
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_fresh(*argv, module="fogndt"):
+    """(exit code, stdout, stderr) of ``python -m <module> argv`` in a new process."""
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_bounds_json(capsys):
@@ -297,3 +313,58 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
+
+
+_TINY_R = "1e-310"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", _TINY_R, "--format", "csv"),
+        ("gap-scan", "--nt-range", "2:2", "--nr-range", "2:2", "--mu-values", "0.5", "--r-values", f"1,{_TINY_R}"),
+        ("sweep", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+         "--axis", "r", "--values", f"1,{_TINY_R}"),
+    ],
+    ids=["bounds", "gap-scan", "sweep"],
+)
+def test_overflowing_r_exits_2(capsys, argv):
+    # Bounds that overflow to inf have no finite gap; the point is refused
+    # instead of reporting gap = nan.
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "fronthaul_r" in err
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # One parser serves every call in a process; each call's output must
+    # equal the same call's output in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    calls = [
+        ("simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1"),
+        ("bounds", "--nt", "2", "--nr", "5", "--mut", "0.5", "--mur", "0.2", "--r", "2", "--format", "csv"),
+        ("sweep", "--nt", "3", "--nr", "3", "--mut", "0.3", "--mur", "0.4", "--r", "1",
+         "--axis", "r", "--values", "0.1,1,10"),
+        ("gap-scan", "--nt-range", "2:3", "--nr-range", "2:2", "--mu-values", "0.3,0.7", "--r-values", "1"),
+        ("bounds", "--nt", "3", "--nr", "2", "--mut", "0.25", "--mur", "0.75", "--r", "0.5"),
+    ]
+    results = [_run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in results] == [2, 0, 0, 0, 0]
+    assert json.loads(results[-1][1])["config"]["num_ens"] == 3
+    for argv, result in zip(calls, results):
+        assert result == _run_fresh(*argv)
+
+
+@pytest.mark.parametrize("module", ["fogndt", "fogndt.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    code, out, _ = _run_fresh(
+        "bounds", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1", "--format", "csv",
+        module=module,
+    )
+    assert code == 0
+    assert out == CSV_HEADER + "\n" + bounds_report(make_cfg()).to_csv_row() + "\n"
+    code, out, err = _run_fresh(
+        "bounds", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "0", module=module
+    )
+    assert code == 2
+    assert out == "" and "fronthaul_r" in err

@@ -15,7 +15,6 @@ from fogndt.placement import fractional_size
 from fogndt.scheduler import (
     CODED_MULTICAST,
     NAIVE_MULTICAST,
-    _group_times,
     build_schedule,
     coded_messages_for_group,
     cooperation_increments,
@@ -28,10 +27,25 @@ from conftest import make_cfg, reference_3x3_group_pairs
 
 
 def _rows(group, cfg, dof=per_user_dof_default):
-    """``_group_times`` rows (total, i, load, tau_f, tau_a, d) of one group, by i."""
+    """Reference rows (total, i, load, tau_f, tau_a, d) of one group, by admissible i.
+
+    Straight-line per-group formula: ``min`` over the rows is the plan the
+    scheduler must pick, ties going to the smaller i.
+    """
     m, n = group
-    dof_row = [dof(m, j, cfg) for j in range(1, cfg.num_ens + 1)]
-    return {row[1]: row for row in _group_times(m, n, fractional_size(m, n, cfg), cfg, dof_row)}
+    nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
+    f = fractional_size(m, n, cfg)
+    b_en = math.comb(nt, n)
+    b_load = math.comb(nr, m + 1) * b_en
+    access = math.comb(nr - 1, m) * b_en * f
+    rows = {}
+    for i in cooperation_increments(n, nt):
+        load = b_load * min(1.0, i / (n + 1)) * f
+        d = dof(m, n + i, cfg)
+        tau_f = load / r
+        tau_a = access / d
+        rows[i] = (tau_f + tau_a, i, load, tau_f, tau_a, d)
+    return rows
 
 
 def test_message_count_3x3_group_1_1():
@@ -138,6 +152,47 @@ def test_candidates_match_group_terms_bitwise():
             )
             assert plan.fronthaul_load / cfg.fronthaul_r == plan.tau_f
         assert ndt_upper(cfg) == schedule.breakdown.total
+
+
+def _step_dof(m, j, cfg):
+    return 1.0 if j >= 3 else 0.5
+
+
+def _increasing_dof(m, j, cfg):
+    return 0.5 + 0.5 * j / cfg.num_ens
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nt=st.integers(2, 7),
+    nr=st.integers(2, 7),
+    mu_t=_UNIT,
+    mu_r=_UNIT,
+    r=st.one_of(st.floats(1e-3, 1e9), st.just(math.inf)),
+    dof=st.sampled_from([per_user_dof_default, _step_dof, _increasing_dof]),
+)
+def test_plans_equal_reference_rows_bitwise(nt, nr, mu_t, mu_r, r, dof):
+    # Every plan is the row min picks among the straight-line reference
+    # rows, and the closed-form bound sums the same per-group times.  repr
+    # round-trips floats and tells -0.0 from 0.0, so equal reprs are equal bits.
+    cfg = make_cfg(nt=nt, nr=nr, mu_t=mu_t, mu_r=mu_r, r=r)
+    schedule = build_schedule(cfg, dof=dof)
+    nonzero = {
+        GroupIndex(m, n)
+        for m in range(nr)
+        for n in range(nt + 1)
+        if fractional_size(m, n, cfg) != 0.0
+    }
+    assert set(schedule.groups) == nonzero
+    for group, plan in schedule.groups.items():
+        _total, *expected = min(_rows(group, cfg, dof).values())
+        got = [plan.chosen_i, plan.fronthaul_load, plan.tau_f, plan.tau_a, plan.dof_value]
+        assert repr(got) == repr(expected)
+        assert repr(plan.size_fraction) == repr(fractional_size(*group, cfg))
+    assert repr(ndt_upper(cfg, dof)) == repr(schedule.breakdown.total)
 
 
 def test_optimize_prefers_no_fronthaul_when_r_tiny():
