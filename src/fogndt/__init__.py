@@ -21,19 +21,11 @@ from .model import (
     GroupIndex,
     NdtBreakdown,
     NetworkConfig,
-    binom,
     validate_config,
 )
-from .oracle import (
-    DecodeFailure,
-    DecodeReport,
-    empirical_ndt,
-    execute_schedule,
-    verify_decodability,
-)
+from .oracle import DecodeFailure, DecodeReport, execute_schedule
 from .placement import (
     PlacementRealization,
-    empirical_fractions,
     fractional_size,
     placement_from_replay,
     placement_to_replay,

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
-from .model import ConfigError, NetworkConfig, binom, config_to_dict, validate_config
+from .model import ConfigError, NetworkConfig, config_to_dict, validate_config
 from .scheduler import _group_terms
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
@@ -113,7 +113,7 @@ def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
     mu_r = cfg.mu_r
     total = 0.0
     for m in range(nr):
-        total += binom(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dof(m, nt, cfg)
+        total += math.comb(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dof(m, nt, cfg)
     return total
 
 

@@ -64,13 +64,13 @@ def check_contract(provider: DofProvider, configs: Sequence[NetworkConfig] | Non
 _TABLE_KEYS = ("m", "j", "n_t", "n_r")
 
 
-def table_provider_from_json(path, fallback: DofProvider = per_user_dof_default) -> DofProvider:
+def table_provider_from_json(path) -> DofProvider:
     """Build a provider from a JSON table of {m, j, n_t, n_r, d} entries.
 
-    Pairs missing from the table fall back to ``fallback``, so partial tables
-    (for one network shape, say) stay usable everywhere else.  Every shape the
-    table names is vetted with :func:`check_contract`; malformed entries raise
-    DofContractError.
+    Pairs missing from the table fall back to :func:`per_user_dof_default`, so
+    partial tables (for one network shape, say) stay usable everywhere else.
+    Every shape the table names is vetted with :func:`check_contract`;
+    malformed entries raise DofContractError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -92,7 +92,7 @@ def table_provider_from_json(path, fallback: DofProvider = per_user_dof_default)
     def provider(m: int, j: int, cfg: NetworkConfig) -> float:
         value = table.get((m, j, cfg.num_ens, cfg.num_ues))
         if value is None:
-            return fallback(m, j, cfg)
+            return per_user_dof_default(m, j, cfg)
         return value
 
     shapes = sorted({(nt, nr) for _m, _j, nt, nr in table})

@@ -1,7 +1,6 @@
-"""Shared problem-instance types, validation, and combinatorial helpers."""
+"""Shared problem-instance types and their validation."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -83,15 +82,6 @@ def config_from_dict(doc: dict) -> NetworkConfig:
         )
     except KeyError as exc:
         raise ConfigError(str(exc.args[0]), f"missing configuration key: {exc.args[0]}") from None
-
-
-def binom(a: int, b: int) -> int:
-    """Exact binomial coefficient, 0 whenever b < 0 or b > a."""
-    if a < 0:
-        raise ValueError(f"binom requires a >= 0, got {a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 class GroupIndex(NamedTuple):

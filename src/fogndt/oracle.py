@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dof import DofProvider, per_user_dof_default
-from .model import DemandVector, GroupIndex, NetworkConfig
-from .placement import PlacementRealization
+from .model import DemandVector, GroupIndex
+from .placement import PlacementRealization, pack_label
 from .scheduler import CODED_MULTICAST, DeliverySchedule, fronthaul_payloads
 
 
@@ -165,9 +164,10 @@ def execute_schedule(
     covered = []
     for q in range(1, nr + 1):
         labels = placement.bit_labels[demand.demands[q - 1] - 1]
-        covered.append(((labels >> (q - 1)) & 1).astype(bool))
+        covered.append((labels & pack_label((q,), (), cfg)).astype(bool))
 
     fronthaul_total = 0
+    tau_a_emp = 0.0
     padding_total = 0
     access_by_coop: dict[int, int] = {}
     per_group: dict[GroupIndex, GroupStats] = {}
@@ -246,6 +246,8 @@ def execute_schedule(
                 covered[q - 1][idx[a:b]] = True
         access_by_coop[coop_level] = access_by_coop.get(coop_level, 0) + group_access
         max_load = max(loads) if loads else 0
+        # Summed in ascending (m, n) order, as the analytic breakdown is.
+        tau_a_emp += (max_load / file_size) / plan.dof_value
         per_group[group] = GroupStats(
             fronthaul_bits=group_fh,
             naive_fronthaul_bits=naive_fh,
@@ -257,43 +259,15 @@ def execute_schedule(
             chosen_i=plan.chosen_i,
         )
 
-    access = [(s.max_per_ue_access_bits, schedule.groups[g].dof_value) for g, s in per_group.items()]
-    tau_f_emp, tau_a_emp = _empirical_times(fronthaul_total, access, file_size, cfg.fronthaul_r)
     return DecodeReport(
         per_ue_success=tuple(bool(c.all()) for c in covered),
         fronthaul_bits=fronthaul_total,
         access_bits_by_coop=access_by_coop,
         padding_overhead_bits=padding_total,
-        empirical_tau_f=tau_f_emp,
+        empirical_tau_f=(fronthaul_total / file_size) / cfg.fronthaul_r,
         empirical_tau_a=tau_a_emp,
         file_size_bits=file_size,
         seed=placement.seed,
         per_group=per_group,
         payloads=tuple(records) if record_payloads else None,
     )
-
-
-def verify_decodability(report: DecodeReport) -> list[int]:
-    """Ids of users that failed to reconstruct their file; empty means success."""
-    return [q for q, ok in enumerate(report.per_ue_success, start=1) if not ok]
-
-
-def _empirical_times(fronthaul_bits: int, access, file_size: int, r: float) -> tuple[float, float]:
-    """Fronthaul and access times of realized loads; ``access`` holds, per group
-    in ascending (m, n) order, the busiest user's access bits and their DoF."""
-    tau_a = 0.0
-    for max_bits, d in access:
-        tau_a += (max_bits / file_size) / d
-    return (fronthaul_bits / file_size) / r, tau_a
-
-
-def empirical_ndt(
-    report: DecodeReport, cfg: NetworkConfig, dof: DofProvider = per_user_dof_default
-) -> tuple[float, float, float]:
-    """Delivery times implied by realized loads under the given DoF provider."""
-    access = [
-        (s.max_per_ue_access_bits, dof(g.m, s.coop_level, cfg))
-        for g, s in sorted(report.per_group.items())
-    ]
-    tau_f, tau_a = _empirical_times(report.fronthaul_bits, access, report.file_size_bits, cfg.fronthaul_r)
-    return tau_f, tau_a, tau_f + tau_a

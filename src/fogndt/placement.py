@@ -16,14 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import (
-    GroupIndex,
-    NetworkConfig,
-    binom,
-    config_from_dict,
-    config_to_dict,
-    validate_config,
-)
+from .model import NetworkConfig, config_from_dict, config_to_dict, validate_config
 
 # Labels are packed into unsigned masks of at most 32 bits: low num_ues bits
 # for users, the next num_ens bits for edge nodes.
@@ -153,30 +146,6 @@ def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> Plac
                 for k in range(nodes):
                     chunk |= hits[:, k].astype(label_type) << label_type.type(shift + k)
     return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
-
-
-def empirical_fractions(p: PlacementRealization) -> dict[GroupIndex, float]:
-    """Average realized cell fraction per (m, n), one entry per possible size pair.
-
-    The (m, n) total over files is divided by the number of cells of that
-    shape, so each entry estimates the single-cell fraction and converges to
-    :func:`fractional_size` as the file size grows.
-    """
-    cfg = p.cfg
-    nr, nt = cfg.num_ues, cfg.num_ens
-    totals = np.zeros((nr + 1, nt + 1))
-    ue_mask = (1 << nr) - 1
-    for f in range(cfg.num_files):
-        for label, idx in p._cells[f].items():
-            m = (label & ue_mask).bit_count()
-            n = (label >> nr).bit_count()
-            totals[m, n] += idx.size
-    base = cfg.num_files * p.file_size_bits
-    return {
-        GroupIndex(m, n): totals[m, n] / (base * binom(nr, m) * binom(nt, n))
-        for m in range(nr + 1)
-        for n in range(nt + 1)
-    }
 
 
 def _index_ranges(idx: np.ndarray) -> list[list[int]]:

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .dof import DofProvider, per_user_dof_default
 from .model import (
+    ConfigError,
     DemandVector,
     GroupIndex,
     NdtBreakdown,
@@ -87,13 +88,13 @@ def cooperation_increments(n: int, num_ens: int) -> range | tuple[int]:
 
 
 def fronthaul_mode(n: int, i: int) -> str:
-    """Coded combining pays binom(n+i, n+1) payloads per (coop set, user group)
-    against binom(n+i, n) for one-by-one sending, so it wins exactly when i is at most n."""
+    """Coded combining pays C(n+i, n+1) payloads per (coop set, user group)
+    against C(n+i, n) for one-by-one sending, so it wins exactly when i is at most n."""
     return CODED_MULTICAST if i <= n else NAIVE_MULTICAST
 
 
 def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> list[tuple[int, ...]]:
-    """The binom(num_ens - n, i) supersets of size n + i, sorted lexicographically."""
+    """The C(num_ens - n, i) supersets of size n + i, sorted lexicographically."""
     others = [p for p in range(1, cfg.num_ens + 1) if p not in en_cache_set]
     if not 0 <= i <= len(others):
         raise ValueError(f"cooperation increment outside [0, {len(others)}]: {i}")
@@ -144,14 +145,22 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
 def _row_table(nt: int, nr: int) -> tuple:
     """Per m, one ``(group, n, c_access, rows)`` per n; ``rows`` holds ``(i, c_load, j)``
     per admissible i, ascending.  The constant factor of each load is built here,
-    once per shape and in a fixed operand order; j = n + i - 1 indexes the DoF row."""
+    once per shape and in a fixed operand order; j = n + i - 1 indexes the DoF row.
+
+    Each row turns its exact load factor into a double, and ``c_access`` is never
+    larger, so a shape whose factors exceed the double range fails here alone,
+    with a ConfigError.
+    """
     table = []
     for m in range(nr):
         groups = []
         for n in range(nt + 1):
             b_en = math.comb(nt, n)
             b_load = math.comb(nr, m + 1) * b_en
-            rows = tuple((i, b_load * min(1.0, i / (n + 1)), n + i - 1) for i in cooperation_increments(n, nt))
+            try:
+                rows = tuple((i, b_load * min(1.0, i / (n + 1)), n + i - 1) for i in cooperation_increments(n, nt))
+            except OverflowError:
+                raise ConfigError("shape", f"n_t={nt}, n_r={nr}: binomial factors overflow a double") from None
             groups.append((GroupIndex(m, n), n, math.comb(nr - 1, m) * b_en, rows))
         table.append(tuple(groups))
     return tuple(table)
@@ -306,4 +315,7 @@ def build_schedule(
             cfg=cfg,
         )
         terms.append((tau_f, tau_a))
-    return DeliverySchedule(cfg, demand, plans, NdtBreakdown.from_terms(terms))
+    breakdown = NdtBreakdown.from_terms(terms)
+    if not math.isfinite(breakdown.total):
+        raise ConfigError("fronthaul_r", f"fronthaul_r too small, the delivery times overflow: {cfg.fronthaul_r!r}")
+    return DeliverySchedule(cfg, demand, plans, breakdown)

@@ -5,6 +5,7 @@ lines and timings.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import replace
@@ -12,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from fogndt.bounds import ndt_lower, ndt_upper, ndt_upper_limit_infinite_r
-from fogndt.model import GroupIndex, NetworkConfig, binom
+from fogndt.model import GroupIndex, NetworkConfig
 from fogndt.oracle import execute_schedule
 from fogndt.placement import fractional_size, sample_placement
 from fogndt.scheduler import CODED_MULTICAST, build_schedule
@@ -43,7 +44,7 @@ def test_criterion_01_partition_of_unity():
                 for mu_r in mus:
                     cfg = NetworkConfig(nt, nr, nr, mu_t, mu_r, 1.0)
                     total = sum(
-                        binom(nr, m) * binom(nt, n) * fractional_size(m, n, cfg)
+                        math.comb(nr, m) * math.comb(nt, n) * fractional_size(m, n, cfg)
                         for m in range(nr + 1)
                         for n in range(nt + 1)
                     )

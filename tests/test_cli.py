@@ -325,15 +325,28 @@ _TINY_R = "1e-310"
         ("gap-scan", "--nt-range", "2:2", "--nr-range", "2:2", "--mu-values", "0.5", "--r-values", f"1,{_TINY_R}"),
         ("sweep", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
          "--axis", "r", "--values", f"1,{_TINY_R}"),
+        ("simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", _TINY_R,
+         "--file-bits", "64"),
+        ("schedule-export", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", _TINY_R),
     ],
-    ids=["bounds", "gap-scan", "sweep"],
+    ids=["bounds", "gap-scan", "sweep", "simulate", "schedule-export"],
 )
 def test_overflowing_r_exits_2(capsys, argv):
-    # Bounds that overflow to inf have no finite gap; the point is refused
-    # instead of reporting gap = nan.
+    # Times that overflow to inf have no finite gap or delta; the point is
+    # refused instead of reporting gap = nan or an Infinity JSON token.
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == "" and "fronthaul_r" in err
+
+
+@pytest.mark.parametrize("nt, nr", [(1100, 2), (2, 1100)])
+def test_shape_with_overflowing_binomials_exits_2(capsys, nt, nr):
+    code, out, err = _run(
+        capsys, "bounds", "--nt", str(nt), "--nr", str(nr), "--mut", "0.5", "--mur", "0.5", "--r", "1"
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    assert f"n_t={nt}, n_r={nr}" in err
 
 
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):

@@ -12,36 +12,12 @@ from fogndt.model import (
     GroupIndex,
     NdtBreakdown,
     NetworkConfig,
-    binom,
     config_from_dict,
     config_to_dict,
     validate_config,
     validate_group,
 )
 from conftest import make_cfg
-
-
-def test_binom_examples():
-    assert binom(3, 2) == 3
-    assert binom(5, 0) == 1
-    assert binom(4, 5) == 0
-    assert binom(4, -1) == 0
-
-
-def test_binom_rejects_negative_a():
-    with pytest.raises(ValueError):
-        binom(-1, 0)
-
-
-@given(st.integers(0, 60), st.integers(0, 60))
-def test_binom_symmetry(a, b):
-    if 0 <= b <= a:
-        assert binom(a, b) == binom(a, a - b)
-
-
-@given(st.integers(0, 40))
-def test_binom_row_sum(a):
-    assert sum(binom(a, b) for b in range(a + 1)) == 2 ** a
 
 
 def test_validate_config_accepts_minimal():

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogndt.model import GroupIndex, binom
 from fogndt.placement import (
     _LABEL_CHUNK_BITS,
     PlacementRealization,
-    empirical_fractions,
     fractional_size,
     pack_label,
     placement_from_replay,
@@ -49,7 +47,7 @@ def test_fraction_range_errors():
 
 def _unity_defect(cfg):
     total = sum(
-        binom(cfg.num_ues, m) * binom(cfg.num_ens, n) * fractional_size(m, n, cfg)
+        math.comb(cfg.num_ues, m) * math.comb(cfg.num_ens, n) * fractional_size(m, n, cfg)
         for m in range(cfg.num_ues + 1)
         for n in range(cfg.num_ens + 1)
     )
@@ -142,29 +140,12 @@ def test_partition_degenerate_caches():
     assert (cell["ues"], cell["ens"]) == ([1, 2], [1, 2])
 
 
-def test_empirical_fractions_edges():
-    cfg = make_cfg(nt=2, nr=2, mu_t=0.0, mu_r=0.0)
-    fracs = empirical_fractions(sample_placement(cfg, 256, seed=1))
-    assert fracs[GroupIndex(0, 0)] == 1.0
-    assert all(v == 0.0 for g, v in fracs.items() if g != GroupIndex(0, 0))
-    cfg_full = make_cfg(nt=2, nr=2, mu_t=1.0, mu_r=1.0)
-    fracs_full = empirical_fractions(sample_placement(cfg_full, 256, seed=1))
-    assert fracs_full[GroupIndex(2, 2)] == 1.0
-
-
-def test_empirical_fractions_concentrate():
-    cfg = make_cfg(nt=2, nr=2, mu_t=0.5, mu_r=0.5)
-    fracs = empirical_fractions(sample_placement(cfg, 200_000, seed=9))
-    for value in fracs.values():
-        assert abs(value - 1 / 16) < 5e-3
-
-
-def test_empirical_fractions_converge_with_file_size():
+def test_cell_sizes_converge_with_file_size():
     cfg = make_cfg(nt=2, nr=2, mu_t=0.5, mu_r=0.5)
     devs = []
     for F in (1_000, 10_000, 100_000):
-        fracs = empirical_fractions(sample_placement(cfg, F, seed=31))
-        devs.append(max(abs(v - 1 / 16) for v in fracs.values()))
+        p = sample_placement(cfg, F, seed=31)
+        devs.append(max(abs(idx.size / F - 1 / 16) for f in (1, 2) for idx in _all_cells(p, f)))
     assert devs[2] < devs[1] < devs[0]
 
 
@@ -381,11 +362,10 @@ def test_cell_index_matches_reference_partition(shape, data):
     else:
         placement = sample_placement(cfg, size, data.draw(st.integers(0, 2**32 - 1)))
     for f in range(cfg.num_files):
-        got = placement._cells[f]
         want = _reference_cells(placement.bit_labels[f])
-        assert list(got) == list(want)
+        assert sum(idx.size for idx in want.values()) == size
         for label, idx in want.items():
-            assert np.array_equal(got[label], idx)
+            assert np.array_equal(placement.cell_indices(f + 1, *unpack_label(label, cfg)), idx)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
