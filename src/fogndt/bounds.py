@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
-from .model import ConfigError, NetworkConfig, config_to_dict, validate_config
-from .scheduler import _group_terms
+from .model import NetworkConfig, config_to_dict, validate_config
+from .scheduler import _group_terms, _overflow_error, _row_table
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
 
@@ -52,16 +52,18 @@ class BoundsReport:
 
 def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Achievable delivery time: best cooperation choice summed over all groups."""
-    return _ndt_upper(validate_config(cfg), dof)
+    total_f, total_a = _ndt_upper(validate_config(cfg), dof)
+    return total_f + total_a
 
 
-def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> float:
+def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> tuple[float, float]:
+    """(fronthaul, access) totals of the achievable delivery time."""
     total_f = 0.0
     total_a = 0.0
     for _group, _f, _i, _load, tau_f, tau_a, _d in _group_terms(cfg, dof):
         total_f += tau_f
         total_a += tau_a
-    return total_f + total_a
+    return total_f, total_a
 
 
 def ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
@@ -87,11 +89,12 @@ def _ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     return best_f + best_a, best_l1, best_l2
 
 
-def _gap_ratio(cfg: NetworkConfig, upper: float, lower: float) -> float:
+def _gap_ratio(cfg: NetworkConfig, upper_parts: tuple[float, float], lower: float) -> float:
     """Upper over lower bound; 1 when both vanish, +inf when only the lower does.
-    An r so small that a bound overflows leaves no ratio: a ConfigError."""
+    A bound that overflows leaves no ratio: a ConfigError naming r or the DoF."""
+    upper = upper_parts[0] + upper_parts[1]
     if not (math.isfinite(upper) and math.isfinite(lower)):
-        raise ConfigError("fronthaul_r", f"fronthaul_r too small, the bounds overflow: {cfg.fronthaul_r!r}")
+        raise _overflow_error(cfg, *upper_parts)
     if lower > 0.0:
         return upper / lower
     return 1.0 if upper == 0.0 else math.inf
@@ -105,7 +108,9 @@ def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
-    return _limit_infinite_r(validate_config(cfg), dof)
+    validate_config(cfg)
+    _row_table(cfg.num_ens, cfg.num_ues)  # refuses a shape whose binomial factors overflow a double
+    return _limit_infinite_r(cfg, dof)
 
 
 def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
@@ -120,13 +125,13 @@ def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
 def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> BoundsReport:
     # Validated once here; the private cores skip the check.
     validate_config(cfg)
-    upper = _ndt_upper(cfg, dof)
+    upper_parts = _ndt_upper(cfg, dof)
     lower, l1, l2 = _ndt_lower(cfg)
     return BoundsReport(
         cfg=cfg,
-        tau_upper=upper,
+        tau_upper=upper_parts[0] + upper_parts[1],
         tau_lower=lower,
-        gap=_gap_ratio(cfg, upper, lower),
+        gap=_gap_ratio(cfg, upper_parts, lower),
         argmax_l1=l1,
         argmax_l2=l2,
         limit_inf_r=_limit_infinite_r(cfg, dof),

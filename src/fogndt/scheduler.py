@@ -250,7 +250,8 @@ class DeliverySchedule:
         groups = []
         for g in sorted(self.groups):
             plan = self.groups[g]
-            coops = plan.sub_messages
+            # Index sets stay the plan's tuples; messages with one cache set share its list.
+            subs = {cache: [{"coop_set": coop} for coop in coops] for cache, coops in plan.sub_messages.items()}
             groups.append(
                 {
                     "m": g.m,
@@ -264,19 +265,11 @@ class DeliverySchedule:
                     "per_user_dof": plan.dof_value,
                     "normalized_fronthaul_load": plan.fronthaul_load,
                     "messages": [
-                        {
-                            "ue_group": list(ue_group),
-                            "en_cache_set": list(cache),
-                            "sub_messages": [{"coop_set": list(coop)} for coop in coops[cache]],
-                        }
+                        {"ue_group": ue_group, "en_cache_set": cache, "sub_messages": subs[cache]}
                         for ue_group, cache in plan.messages
                     ],
                     "fronthaul_transmissions": [
-                        {
-                            "ue_group": list(tx.ue_group),
-                            "coop_set": list(tx.coop_set),
-                            "cache_sets": [list(c) for c in tx.cache_sets],
-                        }
+                        {"ue_group": tx.ue_group, "coop_set": tx.coop_set, "cache_sets": tx.cache_sets}
                         for tx in plan.fronthaul
                     ],
                 }
@@ -317,5 +310,12 @@ def build_schedule(
         terms.append((tau_f, tau_a))
     breakdown = NdtBreakdown.from_terms(terms)
     if not math.isfinite(breakdown.total):
-        raise ConfigError("fronthaul_r", f"fronthaul_r too small, the delivery times overflow: {cfg.fronthaul_r!r}")
+        raise _overflow_error(cfg, breakdown.total_f, breakdown.total_a)
     return DeliverySchedule(cfg, demand, plans, breakdown)
+
+
+def _overflow_error(cfg: NetworkConfig, total_f: float, total_a: float) -> ConfigError:
+    """Overflowing delivery times: the DoF's fault if only the access total overflows, else r's."""
+    if math.isfinite(total_f) and not math.isfinite(total_a):
+        return ConfigError("dof", "per-user DoF too small, the access times overflow")
+    return ConfigError("fronthaul_r", f"fronthaul_r too small, the delivery times overflow: {cfg.fronthaul_r!r}")

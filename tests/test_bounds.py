@@ -173,6 +173,26 @@ def test_overflowing_bounds_raise_config_error():
     assert report.tau_upper == report.limit_inf_r
 
 
+def test_overflowing_access_time_names_the_dof():
+    # A contract-abiding but tiny DoF overflows only the access times; the
+    # fronthaul times are fine, so r must not be blamed.
+    def tiny(m, j, cfg):
+        return 1e-310
+
+    calls = (bounds_report, gap, lambda cfg, dof: build_schedule(cfg, dof=dof))
+    for r, field in ((1.0, "dof"), (1e-310, "fronthaul_r")):
+        for call in calls:
+            with pytest.raises(ConfigError) as info:
+                call(make_cfg(r=r), tiny)
+            assert info.value.field == field
+
+
+def test_limit_refuses_shape_whose_binomials_overflow():
+    with pytest.raises(ConfigError) as info:
+        ndt_upper_limit_infinite_r(NetworkConfig(2, 1100, 1100, 0.5, 0.5, 1.0))
+    assert info.value.field == "shape"
+
+
 def test_csv_row_uses_repr_floats():
     cfg = NetworkConfig(2, 2, 2, 0.1, 0.30000000000000004, 1.0)
     row = bounds_report(cfg).to_csv_row()

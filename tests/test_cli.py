@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogndt
 from fogndt.bounds import CSV_HEADER, bounds_report, gap
-from fogndt.cli import main
+from fogndt.cli import _json_text, main
 from conftest import make_cfg
 
 _SRC = str(Path(fogndt.__file__).resolve().parents[1])
@@ -347,6 +349,54 @@ def test_shape_with_overflowing_binomials_exits_2(capsys, nt, nr):
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
     assert f"n_t={nt}, n_r={nr}" in err
+
+
+def test_simulate_refuses_overflowing_r_before_sampling(capsys, monkeypatch):
+    # The refusal must not wait for a placement of the whole file size.
+    def no_sampling(*args):
+        raise AssertionError("placement sampled before the schedule was checked")
+
+    monkeypatch.setattr("fogndt.cli.sample_placement", no_sampling)
+    code, out, err = _run(
+        capsys, "simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", _TINY_R,
+        "--file-bits", "5000000",
+    )
+    assert code == 2
+    assert out == "" and "fronthaul_r" in err
+
+
+_JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+_JSON_SCALARS = st.none() | st.booleans() | st.integers(-(2**80), 2**80) | _JSON_FLOATS | st.text(max_size=6)
+_JSON_KEYS = st.text(max_size=4) | st.integers(-(2**70), 2**70) | _JSON_FLOATS | st.booleans() | st.none()
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.sampled_from(["é", "\x00\x1f\t", "\u2028😀", "\\\"/"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_keeps_equal_tuples_of_other_types_apart():
+    # (1,), (1.0,) and (True,) compare equal, and so do (0.0,) and (-0.0,):
+    # only tuples of exact ints may share a memoized text.
+    row = [(1,), (1.0,), (True,), (0.0,), (-0.0,), (1,)]
+    for doc in ([row, {"deeper": [row, (2, 1.0)]}], {"x": np.float64(0.1), "y": [np.float64("nan"), -np.inf]}):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [np.int64(1), {1, 2}, [{"a": {1}}], {(1,): 2}, {np.int64(1): 2}])
+def test_json_writer_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(doc)
 
 
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):

@@ -2,7 +2,8 @@
 
 Refactors of the scheduler, oracle and CLI must not move a single output
 byte.  The cases cover groups cached at no edge node, both fronthaul modes,
-duplicate demands, finite-file simulation with fixed seeds, and a sweep CSV.
+duplicate demands, finite-file simulation with fixed seeds, a sweep CSV and
+the bounds JSON.
 A digest change here means a reported number or a schedule structure moved.
 """
 from __future__ import annotations
@@ -19,6 +20,10 @@ from fogndt.placement import sample_placement
 from fogndt.scheduler import build_schedule
 
 CASES = {
+    "bounds_json": (
+        ["bounds", "--nt", "3", "--nr", "4", "--mut", "0.3", "--mur", "0.6", "--r", "2", "--format", "json"],
+        "f75a04d501ee3ea756c521567341b053fca44a44211a803aadc5d37068a980a0",
+    ),
     "export_3x3": (
         ["schedule-export", "--nt", "3", "--nr", "3", "--mut", "0.25", "--mur", "0.25", "--r", "4"],
         "ea3ec2ac2beaf96990f0f1358f312af87d5f7aba0e4308952b554a6baf6f0278",

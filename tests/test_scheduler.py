@@ -425,7 +425,7 @@ def test_sub_message_counts_in_schedule():
             for msg, entry in zip(plan.messages, exported[g], strict=True):
                 coops = plan.sub_messages[msg.en_cache_set]
                 assert len(coops) == per_msg
-                assert entry["sub_messages"] == [{"coop_set": list(coop)} for coop in coops]
+                assert entry["sub_messages"] == [{"coop_set": coop} for coop in coops]
                 for coop in coops:
                     assert set(msg.en_cache_set) <= set(coop)
                     assert len(coop) == g.n + plan.chosen_i
@@ -475,7 +475,7 @@ def test_schedule_json_follows_index_set_rules(nt, nr, mu_t, mu_r, r, data):
             supersets = sorted(c for c in itertools.combinations(ens, n + i) if cache <= set(c))
             assert [tuple(sub["coop_set"]) for sub in msg["sub_messages"]] == supersets
         assert g["fronthaul_transmissions"] == [
-            {"ue_group": list(u), "coop_set": list(coop), "cache_sets": [list(c) for c in caches]}
+            {"ue_group": u, "coop_set": coop, "cache_sets": caches}
             for coop in itertools.combinations(ens, n + i)
             for u in ue_groups
             for caches in fronthaul_payloads(coop, n, mode)
