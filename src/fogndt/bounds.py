@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
-from .model import NetworkConfig, config_to_dict, validate_config
-from .scheduler import _group_terms, _overflow_error, _row_table
+from .model import ConfigError, NetworkConfig, config_to_dict, validate_config
+from .scheduler import _group_terms, _overflow_error
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
 
@@ -89,12 +89,11 @@ def _ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     return best_f + best_a, best_l1, best_l2
 
 
-def _gap_ratio(cfg: NetworkConfig, upper_parts: tuple[float, float], lower: float) -> float:
+def _gap_ratio(cfg: NetworkConfig, upper: float, lower: float, total_f: float, total_a: float) -> float:
     """Upper over lower bound; 1 when both vanish, +inf when only the lower does.
     A bound that overflows leaves no ratio: a ConfigError naming r or the DoF."""
-    upper = upper_parts[0] + upper_parts[1]
     if not (math.isfinite(upper) and math.isfinite(lower)):
-        raise _overflow_error(cfg, *upper_parts)
+        raise _overflow_error(cfg, total_f, total_a)
     if lower > 0.0:
         return upper / lower
     return 1.0 if upper == 0.0 else math.inf
@@ -103,35 +102,38 @@ def _gap_ratio(cfg: NetworkConfig, upper_parts: tuple[float, float], lower: floa
 def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Multiplicative gap between the achievable NDT and the converse bound."""
     validate_config(cfg)
-    return _gap_ratio(cfg, _ndt_upper(cfg, dof), _ndt_lower(cfg)[0])
+    total_f, total_a = _ndt_upper(cfg, dof)
+    return _gap_ratio(cfg, total_f + total_a, _ndt_lower(cfg)[0], total_f, total_a)
 
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
-    validate_config(cfg)
-    _row_table(cfg.num_ens, cfg.num_ues)  # refuses a shape whose binomial factors overflow a double
-    return _limit_infinite_r(cfg, dof)
+    return _limit_infinite_r(validate_config(cfg), dof)
 
 
 def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
     nr, nt = cfg.num_ues, cfg.num_ens
     mu_r = cfg.mu_r
     total = 0.0
-    for m in range(nr):
-        total += math.comb(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dof(m, nt, cfg)
+    try:
+        for m in range(nr):
+            total += math.comb(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dof(m, nt, cfg)
+    except OverflowError:
+        raise ConfigError("shape", f"n_t={nt}, n_r={nr}: binomial factors overflow a double") from None
     return total
 
 
 def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> BoundsReport:
     # Validated once here; the private cores skip the check.
     validate_config(cfg)
-    upper_parts = _ndt_upper(cfg, dof)
+    total_f, total_a = _ndt_upper(cfg, dof)
+    upper = total_f + total_a
     lower, l1, l2 = _ndt_lower(cfg)
     return BoundsReport(
         cfg=cfg,
-        tau_upper=upper_parts[0] + upper_parts[1],
+        tau_upper=upper,
         tau_lower=lower,
-        gap=_gap_ratio(cfg, upper_parts, lower),
+        gap=_gap_ratio(cfg, upper, lower, total_f, total_a),
         argmax_l1=l1,
         argmax_l2=l2,
         limit_inf_r=_limit_infinite_r(cfg, dof),

@@ -75,14 +75,11 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONTAINERS = (list, tuple, dict)
 
 
 def _json_key(k) -> str:
-    if k is not None and not isinstance(k, (str, int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return _json_str(k if isinstance(k, str) else json.dumps(k))
+    return json.dumps({k: 0})[1:-4]  # json's own key conversion, and its TypeError
 
 
 def _json_text(doc) -> str:
@@ -95,13 +92,10 @@ def _json_text(doc) -> str:
         if t not in _CONTAINERS:
             if t is str:
                 return _json_str(o)
-            if t is int:
-                return int.__repr__(o)
-            if t is float:
-                text = float.__repr__(o)
-                return _NONFINITE.get(text, text)
+            if t is int or t is float and math.isfinite(o):
+                return t.__repr__(o)
             if not isinstance(o, _CONTAINERS):
-                return json.dumps(o)  # None, bools, subclasses and refusals as json has them
+                return json.dumps(o)  # None, bools, NaN, infinities, subclasses and refusals as json has them
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
         inner = pad + "  "

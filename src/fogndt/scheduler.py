@@ -250,8 +250,7 @@ class DeliverySchedule:
         groups = []
         for g in sorted(self.groups):
             plan = self.groups[g]
-            # Index sets stay the plan's tuples; messages with one cache set share its list.
-            subs = {cache: [{"coop_set": coop} for coop in coops] for cache, coops in plan.sub_messages.items()}
+            coops = plan.sub_messages
             groups.append(
                 {
                     "m": g.m,
@@ -265,7 +264,11 @@ class DeliverySchedule:
                     "per_user_dof": plan.dof_value,
                     "normalized_fronthaul_load": plan.fronthaul_load,
                     "messages": [
-                        {"ue_group": ue_group, "en_cache_set": cache, "sub_messages": subs[cache]}
+                        {
+                            "ue_group": ue_group,
+                            "en_cache_set": cache,
+                            "sub_messages": [{"coop_set": coop} for coop in coops[cache]],
+                        }
                         for ue_group, cache in plan.messages
                     ],
                     "fronthaul_transmissions": [
