@@ -114,27 +114,13 @@ def _slice_bounds(length: int, pieces: int) -> list[tuple[int, int]]:
 
 
 class _SubSlice(NamedTuple):
-    cells: list[np.ndarray]  # each constituent's bit positions in its file, in ``ue_group`` order
+    cells: list[np.ndarray]  # each constituent's view of its user's coverage, in ``ue_group`` order
     start: int
     end: int
     bits: np.ndarray  # this slice of the message's XOR
 
 
 _ABSENT = _SubSlice([], 0, 0, np.empty(0, dtype=np.uint8))
-
-
-def _realize(placement: PlacementRealization, demand: DemandVector, msg) -> tuple[np.ndarray, list]:
-    """Zero-padded XOR of a message's constituents, as :class:`CodedMessage` names them, and their cells."""
-    ue_group, en_set = msg
-    files = [demand.demands[q - 1] for q in ue_group]
-    cells = [
-        placement.cell_indices(file_id, tuple(u for u in ue_group if u != q), en_set)
-        for q, file_id in zip(ue_group, files)
-    ]
-    xor = np.zeros(max(idx.size for idx in cells), dtype=np.uint8)
-    for file_id, idx in zip(files, cells):
-        xor[: idx.size] ^= placement.file_bits[file_id - 1][idx]
-    return xor, cells
 
 
 def _record(records, channel, group, ue_group, coop, cache_sets, bits: np.ndarray) -> None:
@@ -160,11 +146,10 @@ def execute_schedule(
     nr = cfg.num_ues
     file_size = placement.file_size_bits
 
-    # Bits each user already holds of its own demanded file.
-    covered = []
-    for q in range(1, nr + 1):
-        labels = placement.bit_labels[demand.demands[q - 1] - 1]
-        covered.append((labels & pack_label((q,), (), cfg)).astype(bool))
+    # Each user's demanded file in label order, and the bits of it the user already holds.
+    indices = [placement.cell_indices(file_id) for file_id in demand.demands]
+    user_bits = [pack_label((q,), (), cfg) for q in range(1, nr + 1)]
+    covered = [(index.labels & bit).astype(bool) for index, bit in zip(indices, user_bits)]
 
     fronthaul_total = 0
     tau_a_emp = 0.0
@@ -183,12 +168,17 @@ def execute_schedule(
         subs: dict[tuple, _SubSlice] = {}
         naive_fh = 0
         coops_of = plan.sub_messages
-        for msg in plan.messages:
-            ue_group, cache = msg
+        for ue_group, cache in plan.messages:
             coops = coops_of[cache]
-            xor, cells = _realize(placement, demand, msg)
+            # Constituent q is user q's demanded file at the message's label without q.
+            whole = pack_label(ue_group, cache, cfg)
+            spans = [(q, indices[q - 1].span(whole & ~user_bits[q - 1])) for q in ue_group]
+            cells = [covered[q - 1][span] for q, span in spans]
+            xor = np.zeros(max(cell.size for cell in cells), dtype=np.uint8)
+            for q, span in spans:
+                xor[: span.stop - span.start] ^= indices[q - 1].bits[span]
             length = xor.size
-            padding_total += (m + 1) * length - sum(idx.size for idx in cells)
+            padding_total += (m + 1) * length - sum(cell.size for cell in cells)
             naive_fh += length
             for coop, (a, b) in zip(coops, _slice_bounds(length, len(coops))):
                 subs[(ue_group, cache, coop)] = _SubSlice(cells, a, b, xor[a:b])
@@ -241,9 +231,9 @@ def execute_schedule(
             _record(records, "access", group, ue_group, coop, (cache,), payload)
             # Each user caches every constituent but its own, so it recovers
             # and covers its own stretch of this slice.
-            for q, idx in zip(ue_group, cells):
+            for q, cover in zip(ue_group, cells):
                 loads[q - 1] += size
-                covered[q - 1][idx[a:b]] = True
+                cover[a:b] = True
         access_by_coop[coop_level] = access_by_coop.get(coop_level, 0) + group_access
         max_load = max(loads) if loads else 0
         # Summed in ascending (m, n) order, as the analytic breakdown is.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,26 @@ def unpack_label(label: int, cfg: NetworkConfig) -> tuple[tuple[int, ...], tuple
     return ues, ens
 
 
+class CellIndex(NamedTuple):
+    """One file's packed labels, sorted stably, and its bits in the same order."""
+
+    labels: np.ndarray
+    bits: np.ndarray
+
+    def span(self, label: int) -> slice:
+        """The range of one cell; empty when nothing landed there."""
+        # A Python int would make numpy convert the whole array on every call.
+        key = self.labels.dtype.type(label)
+        return slice(self.labels.searchsorted(key), self.labels.searchsorted(key, "right"))
+
+
+def _label_order(labels: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A file's labels as keys of the narrowest label type, and their stable argsort."""
+    # Narrow keys order as wider ones do, and numpy radix-sorts 8- and 16-bit keys.
+    keys = labels.astype(_label_type(cfg), copy=False)
+    return keys, np.argsort(keys, kind="stable")
+
+
 @dataclass(frozen=True)
 class PlacementRealization:
     """Per-bit cache labels plus the file contents they apply to.
@@ -75,7 +95,7 @@ class PlacementRealization:
     and ``file_bits[f, b]`` the bit value itself.  Sampled and replayed
     realizations store labels in the narrowest unsigned type that holds
     ``num_ues + num_ens`` bits; any wider unsigned type works too.
-    Instances are immutable; cell index tables are computed lazily and cached.
+    Instances are immutable; the cell index is computed lazily and cached.
     """
 
     cfg: NetworkConfig
@@ -85,30 +105,18 @@ class PlacementRealization:
     file_bits: np.ndarray
 
     @cached_property
-    def _cells(self) -> tuple[dict[int, np.ndarray], ...]:
-        # Keys in the narrowest label type give the same stable order as wider
-        # ones; numpy sorts 8- and 16-bit keys by radix.
-        key_type = _label_type(self.cfg)
+    def _cells(self) -> tuple[CellIndex, ...]:
         out = []
-        for labels in self.bit_labels:
-            keys = labels.astype(key_type, copy=False)
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            bounds = [0, *starts.tolist(), order.size]
-            cell_labels = sorted_keys[bounds[:-1]].tolist()
-            out.append({lbl: order[a:b] for lbl, a, b in zip(cell_labels, bounds, bounds[1:])})
+        for labels, bits in zip(self.bit_labels, self.file_bits):
+            keys, order = _label_order(labels, self.cfg)
+            out.append(CellIndex(keys[order], bits[order]))
         return tuple(out)
 
-    def cell_indices(self, file_id: int, ue_set, en_set) -> np.ndarray:
-        """Ascending bit positions of one cell; empty when nothing landed there."""
+    def cell_indices(self, file_id: int) -> CellIndex:
+        """One file's labels and bits in stable label order; each cell is one contiguous range."""
         if not 1 <= file_id <= self.cfg.num_files:
             raise ValueError(f"unknown file id: {file_id}")
-        label = pack_label(ue_set, en_set, self.cfg)
-        return self._cells[file_id - 1].get(label, _EMPTY_INDICES)
-
-
-_EMPTY_INDICES = np.empty(0, dtype=np.int64)
+        return self._cells[file_id - 1]
 
 
 def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> PlacementRealization:
@@ -126,12 +134,15 @@ def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> Plac
             f"at most {_MAX_PACKED_NODES} nodes supported, got {cfg.num_ues + cfg.num_ens}"
         )
     content_ss, label_ss = np.random.SeedSequence(seed).spawn(2)
-    file_bits = np.random.default_rng(content_ss).integers(
-        0, 2, size=(cfg.num_files, file_size_bits), dtype=np.uint8
-    )
-    label_rng = np.random.default_rng(label_ss)
     label_type = _label_type(cfg)
-    labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
+    try:
+        file_bits = np.random.default_rng(content_ss).integers(
+            0, 2, size=(cfg.num_files, file_size_bits), dtype=np.uint8
+        )
+        labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
+    except MemoryError:
+        raise ValueError(f"file_size_bits too large to allocate: {file_size_bits}") from None
+    label_rng = np.random.default_rng(label_ss)
     sides = ((0, cfg.num_ues, cfg.mu_r), (cfg.num_ues, cfg.num_ens, cfg.mu_t))
     scratch = np.empty(min(file_size_bits, _LABEL_CHUNK_BITS) * max(cfg.num_ues, cfg.num_ens))
     for row in labels:
@@ -149,14 +160,9 @@ def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> Plac
 
 
 def _index_ranges(idx: np.ndarray) -> list[list[int]]:
-    """Compress ascending indices into half-open [start, end) runs."""
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) != 1) + 1
-    ranges = []
-    for chunk in np.split(idx, breaks):
-        ranges.append([int(chunk[0]), int(chunk[-1]) + 1])
-    return ranges
+    """Compress nonempty ascending indices into half-open [start, end) runs."""
+    cuts = np.r_[0, np.flatnonzero(np.diff(idx) != 1) + 1, idx.size]
+    return np.column_stack((idx[cuts[:-1]], idx[cuts[1:] - 1] + 1)).tolist()
 
 
 def placement_to_replay(p: PlacementRealization) -> dict:
@@ -167,16 +173,19 @@ def placement_to_replay(p: PlacementRealization) -> dict:
     """
     files = []
     for f in range(p.cfg.num_files):
+        # Only replay needs bit positions, so the order is recomputed here.
+        keys, order = _label_order(p.bit_labels[f], p.cfg)
+        sorted_keys = keys[order]
+        cuts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist(), order.size]
         cells = []
-        for label in sorted(p._cells[f]):
-            idx = p._cells[f][label]
-            ues, ens = unpack_label(label, p.cfg)
+        for a, b in zip(cuts, cuts[1:]):
+            ues, ens = unpack_label(int(sorted_keys[a]), p.cfg)
             cells.append(
                 {
                     "ues": list(ues),
                     "ens": list(ens),
-                    "count": int(idx.size),
-                    "ranges": _index_ranges(idx),
+                    "count": b - a,
+                    "ranges": _index_ranges(order[a:b]),
                 }
             )
         files.append({"file": f + 1, "cells": cells})

@@ -136,8 +136,8 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
     transmissions = []
     for coop in itertools.combinations(range(1, nt + 1), n + i):
         payloads = fronthaul_payloads(coop, n, mode)
-        for ue_group in ue_groups:
-            transmissions.extend(FronthaulTransmission(ue_group, coop, c) for c in payloads)
+        if payloads:
+            transmissions.extend(FronthaulTransmission(g, coop, c) for g in ue_groups for c in payloads)
     return tuple(transmissions)
 
 

@@ -242,6 +242,17 @@ def test_simulate_bad_demand_exits_2(capsys):
     assert "demand" in err
 
 
+def test_simulate_unallocatable_file_size_exits_2(capsys):
+    # Files of 10**15 bits exceed a 47-bit address space, so the allocation
+    # fails at once whatever the memory overcommit policy.
+    code, out, err = _run(
+        capsys, "simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+        "--file-bits", str(10**15),
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "file_size_bits" in err
+
+
 def test_schedule_export(capsys):
     code, out, _ = _run(
         capsys, "schedule-export", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5",

@@ -78,8 +78,9 @@ def test_access_records_slice_the_xor_of_demanded_cells(nt, nr):
                     rows = []
                     for q in ue_group:
                         others = tuple(u for u in ue_group if u != q)
-                        idx = placement.cell_indices(demand[q - 1], others, cache)
-                        rows.append(placement.file_bits[demand[q - 1] - 1][idx])
+                        f = demand[q - 1] - 1
+                        idx = np.flatnonzero(placement.bit_labels[f] == pack_label(others, cache, cfg))
+                        rows.append(placement.file_bits[f][idx])
                     xor = np.zeros(max(row.size for row in rows), dtype=np.uint8)
                     for row in rows:
                         xor[: row.size] ^= row

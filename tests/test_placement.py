@@ -102,9 +102,21 @@ def _subsets(ids):
 
 
 def _all_cells(p, file_id):
-    """Bit positions of every possible label of one file."""
+    """Bit positions of every possible label of one file, read off the labels.
+
+    Each label's span of the cell index must hold exactly that cell's bits,
+    in position order, and only that label.
+    """
     users, ens = range(1, p.cfg.num_ues + 1), range(1, p.cfg.num_ens + 1)
-    return [p.cell_indices(file_id, u, e) for u in _subsets(users) for e in _subsets(ens)]
+    index = p.cell_indices(file_id)
+    cells = []
+    for label in (pack_label(u, e, p.cfg) for u in _subsets(users) for e in _subsets(ens)):
+        ref = np.flatnonzero(p.bit_labels[file_id - 1] == label)
+        span = index.span(label)
+        assert np.array_equal(index.bits[span], p.file_bits[file_id - 1][ref])
+        assert (index.labels[span] == label).all()
+        cells.append(ref)
+    return cells
 
 
 def test_cell_concentration_2x2():
@@ -128,7 +140,7 @@ def test_partition_covers_every_bit():
         merged = np.sort(np.concatenate(_all_cells(p, file_id)))
         assert np.array_equal(merged, np.arange(4096))
     with pytest.raises(ValueError):
-        p.cell_indices(4, (), ())
+        p.cell_indices(4)
 
 
 def test_partition_degenerate_caches():
@@ -336,14 +348,6 @@ def test_corrupted_replay_raises_or_loads_identical_labels(data):
     assert np.array_equal(loaded.bit_labels, placement_from_replay(original).bit_labels)
 
 
-def _reference_cells(labels: np.ndarray) -> dict[int, np.ndarray]:
-    """The cell index as a stable uint32 argsort cut by np.split."""
-    labels = labels.astype(np.uint32)
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return {int(labels[chunk[0]]): chunk for chunk in np.split(order, cuts)}
-
-
 # 4, 10 and 18 nodes: the cell index sorts 8-, 16- and 32-bit keys.
 @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (9, 9)])
 @settings(max_examples=40, deadline=None)
@@ -352,20 +356,37 @@ def test_cell_index_matches_reference_partition(shape, data):
     cfg = make_cfg(nt=shape[0], nr=shape[1])
     size = data.draw(st.integers(1, 300))
     if data.draw(st.booleans()):
-        # Hand-built uint32 labels from a few values, the widest label included.
+        # Hand-built uint32 labels from a few values, the widest label included,
+        # over position-dependent file values, so that a misordered span shows.
         top = (1 << (cfg.num_ues + cfg.num_ens)) - 1
         palette = [top, *data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5))]
         count = cfg.num_files * size
         values = data.draw(st.lists(st.sampled_from(palette), min_size=count, max_size=count))
         labels = np.array(values, dtype=np.uint32).reshape(cfg.num_files, size)
-        placement = PlacementRealization(cfg, size, None, labels, np.zeros(labels.shape, np.uint8))
+        file_bits = (np.arange(count) % 251).astype(np.uint8).reshape(labels.shape)
+        placement = PlacementRealization(cfg, size, None, labels, file_bits)
     else:
         placement = sample_placement(cfg, size, data.draw(st.integers(0, 2**32 - 1)))
     for f in range(cfg.num_files):
-        want = _reference_cells(placement.bit_labels[f])
-        assert sum(idx.size for idx in want.values()) == size
-        for label, idx in want.items():
-            assert np.array_equal(placement.cell_indices(f + 1, *unpack_label(label, cfg)), idx)
+        index = placement.cell_indices(f + 1)
+        spans = 0
+        for label in np.unique(placement.bit_labels[f]).tolist():
+            # Reference: the cell's bit positions, read off the labels.
+            ref = np.flatnonzero(placement.bit_labels[f] == label)
+            span = index.span(label)
+            assert np.array_equal(index.bits[span], placement.file_bits[f][ref])
+            assert (index.labels[span] == label).all()
+            spans += span.stop - span.start
+        assert spans == size
+
+
+def test_cell_index_holds_no_bit_positions():
+    # A file's index is its labels and bits, nothing per bit beside them.
+    for cfg in (make_cfg(nt=2, nr=2), make_cfg(nt=5, nr=5), make_cfg(nt=9, nr=9)):
+        placement = sample_placement(cfg, 10_000, seed=4)
+        for f in range(1, cfg.num_files + 1):
+            index = placement.cell_indices(f)
+            assert sum(a.nbytes for a in index) == 10_000 * (index.labels.itemsize + 1)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
