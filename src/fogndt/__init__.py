@@ -21,7 +21,6 @@ from .model import (
     GroupIndex,
     NdtBreakdown,
     NetworkConfig,
-    validate_config,
 )
 from .oracle import DecodeFailure, DecodeReport, execute_schedule
 from .placement import (

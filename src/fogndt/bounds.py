@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
-from .model import ConfigError, NetworkConfig, config_to_dict, validate_config
+from .model import ConfigError, NetworkConfig, config_to_dict
 from .scheduler import _group_terms, _overflow_error
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
@@ -52,12 +52,12 @@ class BoundsReport:
 
 def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Achievable delivery time: best cooperation choice summed over all groups."""
-    total_f, total_a = _ndt_upper(validate_config(cfg), dof)
+    total_f, total_a = _ndt_upper(cfg, dof)
     return total_f + total_a
 
 
 def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> tuple[float, float]:
-    """(fronthaul, access) totals of the achievable delivery time."""
+    """(fronthaul, access) totals of the achievable delivery time; overflow blame needs both."""
     total_f = 0.0
     total_a = 0.0
     for _group, _f, _i, _load, tau_f, tau_a, _d in _group_terms(cfg, dof):
@@ -68,10 +68,6 @@ def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> tuple[float, float]:
 
 def ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     """Converse bound with the maximizing user-subset sizes; ties to smaller l."""
-    return _ndt_lower(validate_config(cfg))
-
-
-def _ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
     mu_t, mu_r = cfg.mu_t, cfg.mu_r
     best_f = -math.inf
@@ -101,17 +97,11 @@ def _gap_ratio(cfg: NetworkConfig, upper: float, lower: float, total_f: float, t
 
 def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Multiplicative gap between the achievable NDT and the converse bound."""
-    validate_config(cfg)
-    total_f, total_a = _ndt_upper(cfg, dof)
-    return _gap_ratio(cfg, total_f + total_a, _ndt_lower(cfg)[0], total_f, total_a)
+    return bounds_report(cfg, dof).gap
 
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
-    return _limit_infinite_r(validate_config(cfg), dof)
-
-
-def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
     nr, nt = cfg.num_ues, cfg.num_ens
     mu_r = cfg.mu_r
     total = 0.0
@@ -124,11 +114,9 @@ def _limit_infinite_r(cfg: NetworkConfig, dof: DofProvider) -> float:
 
 
 def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> BoundsReport:
-    # Validated once here; the private cores skip the check.
-    validate_config(cfg)
     total_f, total_a = _ndt_upper(cfg, dof)
     upper = total_f + total_a
-    lower, l1, l2 = _ndt_lower(cfg)
+    lower, l1, l2 = ndt_lower(cfg)
     return BoundsReport(
         cfg=cfg,
         tau_upper=upper,
@@ -136,5 +124,5 @@ def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -
         gap=_gap_ratio(cfg, upper, lower, total_f, total_a),
         argmax_l1=l1,
         argmax_l2=l2,
-        limit_inf_r=_limit_infinite_r(cfg, dof),
+        limit_inf_r=ndt_upper_limit_infinite_r(cfg, dof),
     )

@@ -1,7 +1,12 @@
-"""Shared problem-instance types and their validation."""
+"""Shared problem-instance types.
+
+A :class:`NetworkConfig` checks its fields when it is constructed, so every
+instance lies inside the network model and no function that takes one checks
+it again.  Groups and demand vectors are checked against a config.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple
 
 
@@ -30,56 +35,44 @@ class NetworkConfig:
     mu_r: float
     fronthaul_r: float
 
+    def __post_init__(self) -> None:
+        """Refuse any field outside the network model, naming it in ConfigError."""
+        for name in ("num_ens", "num_ues", "num_files"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ConfigError(name, f"{name} must be an integer, got {value!r}")
+        for name in ("mu_t", "mu_r", "fronthaul_r"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ConfigError(name, f"{name} must be a number, got {value!r}")
+        if self.num_ens < 2:
+            raise ConfigError("num_ens", f"num_ens below minimum: {self.num_ens} < 2")
+        if self.num_ues < 2:
+            raise ConfigError("num_ues", f"num_ues below minimum: {self.num_ues} < 2")
+        if self.num_files < self.num_ues:
+            raise ConfigError("num_files", f"num_files below num_ues: {self.num_files} < {self.num_ues}")
+        if not 0.0 <= self.mu_t <= 1.0:
+            raise ConfigError("mu_t", f"mu_t outside [0, 1]: {self.mu_t}")
+        if not 0.0 <= self.mu_r <= 1.0:
+            raise ConfigError("mu_r", f"mu_r outside [0, 1]: {self.mu_r}")
+        if not self.fronthaul_r > 0.0:
+            raise ConfigError("fronthaul_r", f"fronthaul_r must be positive: {self.fronthaul_r}")
 
-def validate_config(cfg: NetworkConfig) -> NetworkConfig:
-    """Return ``cfg`` unchanged if every field is legal, else raise ConfigError."""
-    for name in ("num_ens", "num_ues", "num_files"):
-        value = getattr(cfg, name)
-        if type(value) is bool or not isinstance(value, int):
-            raise ConfigError(name, f"{name} must be an integer, got {value!r}")
-    for name in ("mu_t", "mu_r", "fronthaul_r"):
-        value = getattr(cfg, name)
-        if type(value) is bool or not isinstance(value, (int, float)):
-            raise ConfigError(name, f"{name} must be a number, got {value!r}")
-    if cfg.num_ens < 2:
-        raise ConfigError("num_ens", f"num_ens below minimum: {cfg.num_ens} < 2")
-    if cfg.num_ues < 2:
-        raise ConfigError("num_ues", f"num_ues below minimum: {cfg.num_ues} < 2")
-    if cfg.num_files < cfg.num_ues:
-        raise ConfigError(
-            "num_files",
-            f"num_files below num_ues: {cfg.num_files} < {cfg.num_ues}",
-        )
-    if not 0.0 <= cfg.mu_t <= 1.0:
-        raise ConfigError("mu_t", f"mu_t outside [0, 1]: {cfg.mu_t}")
-    if not 0.0 <= cfg.mu_r <= 1.0:
-        raise ConfigError("mu_r", f"mu_r outside [0, 1]: {cfg.mu_r}")
-    if not cfg.fronthaul_r > 0.0:
-        raise ConfigError("fronthaul_r", f"fronthaul_r must be positive: {cfg.fronthaul_r}")
-    return cfg
+
+_FIELDS = tuple(f.name for f in fields(NetworkConfig))
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
-    return {
-        "num_ens": cfg.num_ens,
-        "num_ues": cfg.num_ues,
-        "num_files": cfg.num_files,
-        "mu_t": cfg.mu_t,
-        "mu_r": cfg.mu_r,
-        "fronthaul_r": cfg.fronthaul_r,
-    }
+    return {name: getattr(cfg, name) for name in _FIELDS}
 
 
 def config_from_dict(doc: dict) -> NetworkConfig:
+    """The config a JSON object describes; a key outside the six fields or a missing one is a ConfigError."""
+    for key in doc:
+        if key not in _FIELDS:
+            raise ConfigError(str(key), f"unknown configuration key: {key!r}")
     try:
-        return NetworkConfig(
-            num_ens=doc["num_ens"],
-            num_ues=doc["num_ues"],
-            num_files=doc["num_files"],
-            mu_t=doc["mu_t"],
-            mu_r=doc["mu_r"],
-            fronthaul_r=doc["fronthaul_r"],
-        )
+        return NetworkConfig(**{name: doc[name] for name in _FIELDS})
     except KeyError as exc:
         raise ConfigError(str(exc.args[0]), f"missing configuration key: {exc.args[0]}") from None
 

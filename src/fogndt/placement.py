@@ -10,13 +10,14 @@ rather than per realization.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .model import NetworkConfig, config_from_dict, config_to_dict, validate_config
+from .model import NetworkConfig, config_from_dict, config_to_dict
 
 # Labels are packed into unsigned masks of at most 32 bits: low num_ues bits
 # for users, the next num_ens bits for edge nodes.
@@ -126,7 +127,6 @@ def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> Plac
     the seed, so a realization replayed from its serialized cell layout can
     regenerate identical file contents without re-drawing labels.
     """
-    validate_config(cfg)
     if file_size_bits < 1:
         raise ValueError(f"file_size_bits must be at least 1: {file_size_bits}")
     if cfg.num_ues + cfg.num_ens > _MAX_PACKED_NODES:
@@ -213,48 +213,31 @@ def placement_from_replay(doc: dict) -> PlacementRealization:
     """
     try:
         return _placement_from_replay(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed replay: {type(exc).__name__}: {exc}") from None
 
 
 def _placement_from_replay(doc: dict) -> PlacementRealization:
     if doc.get("format") != REPLAY_FORMAT:
         raise ValueError(f"unsupported replay format: {doc.get('format')!r}")
-    cfg = validate_config(config_from_dict(doc["config"]))
+    cfg = config_from_dict(doc["config"])
     size = doc["file_size_bits"]
     if not type(size) is int or size < 1:
         raise ValueError(f"file_size_bits must be a positive integer: {size!r}")
     seed = doc["seed"]
     if seed is not None and not (type(seed) is int and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer or null: {seed!r}")
-    labels = np.zeros((cfg.num_files, size), dtype=_label_type(cfg))
+    try:
+        labels = np.empty((cfg.num_files, size), dtype=_label_type(cfg))
+    except MemoryError:
+        raise ValueError(f"file_size_bits too large to allocate: {size}") from None
     seen: set[int] = set()
     for entry in doc["files"]:
         file_id = entry["file"]
         if not type(file_id) is int or not 1 <= file_id <= cfg.num_files or file_id in seen:
             raise ValueError(f"file ids must be 1..{cfg.num_files}, each once; got {file_id!r}")
         seen.add(file_id)
-        covered = np.zeros(size, dtype=bool)
-        for cell in entry["cells"]:
-            if not all(type(node) is int for node in (*cell["ues"], *cell["ens"])):
-                raise ValueError(f"file {file_id}: node ids must be integers: {cell}")
-            label = pack_label(cell["ues"], cell["ens"], cfg)
-            count = 0
-            previous_end = 0
-            for start, end in cell["ranges"]:
-                if not (type(start) is int and type(end) is int) or not previous_end <= start < end <= size:
-                    where = f"file {file_id}: range {[start, end]}"
-                    raise ValueError(f"{where} not ascending inside [0, {size})")
-                if covered[start:end].any():
-                    raise ValueError(f"file {file_id}: range {[start, end]} overlaps another cell")
-                covered[start:end] = True
-                labels[file_id - 1, start:end] = label
-                count += end - start
-                previous_end = end
-            if cell["count"] != count:
-                raise ValueError(f"file {file_id}: cell count {cell['count']!r}, ranges hold {count}")
-        if not covered.all():
-            raise ValueError(f"cells of file {file_id} cover {int(covered.sum())} of {size} bits")
+        labels[file_id - 1] = _file_labels(file_id, entry["cells"], size, cfg)
     if len(seen) != cfg.num_files:
         missing = sorted(set(range(1, cfg.num_files + 1)) - seen)
         raise ValueError(f"replay has no entry for files {missing}")
@@ -274,3 +257,42 @@ def _placement_from_replay(doc: dict) -> PlacementRealization:
                 raise ValueError(f"file_bits_hex of file {f + 1} holds {raw.size} bytes")
             file_bits[f] = np.unpackbits(raw, count=size)
     return PlacementRealization(cfg, size, seed, labels, file_bits)
+
+
+def _file_labels(file_id: int, cells: list, size: int, cfg: NetworkConfig) -> np.ndarray:
+    """One file's labels from its replay cells, which must label every bit exactly once."""
+    cell_labels, counts, per_cell, ranges = [], [], [], []
+    for cell in cells:
+        if not all(type(node) is int for node in (*cell["ues"], *cell["ens"])):
+            raise ValueError(f"file {file_id}: node ids must be integers: {cell['ues']}, {cell['ens']}")
+        cell_labels.append(pack_label(cell["ues"], cell["ens"], cfg))
+        counts.append(cell["count"])
+        # Exact ints only: numpy would take a bool as 0 or 1.
+        if not all(type(start) is int and type(end) is int for start, end in cell["ranges"]):
+            raise ValueError(f"file {file_id}: cell ranges must be pairs of integers")
+        per_cell.append(len(cell["ranges"]))
+        ranges.append(cell["ranges"])
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(ranges))
+    starts, ends = np.fromiter(flat, dtype=np.int64, count=2 * sum(per_cell)).reshape(-1, 2).T
+    # A range is bad when empty, outside the file, or not after the previous range of its cell.
+    cell_of = np.repeat(np.arange(len(per_cell)), per_cell)
+    bad = (starts < 0) | (starts >= ends) | (ends > size)
+    bad[1:] |= (cell_of[1:] == cell_of[:-1]) & (starts[1:] < ends[:-1])
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"file {file_id}: range {[int(starts[k]), int(ends[k])]} not ascending inside [0, {size})")
+    held = np.bincount(cell_of, weights=ends - starts, minlength=len(per_cell)).astype(np.int64).tolist()
+    for count, total in zip(counts, held):
+        if count != total:
+            raise ValueError(f"file {file_id}: cell count {count!r}, ranges hold {total}")
+    # Ascending and inside the file, the ranges label every bit once exactly
+    # when, sorted by start, none overlaps the next and their lengths sum to size.
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    overlaps = np.flatnonzero(starts[1:] < ends[:-1])
+    if overlaps.size:
+        k = int(overlaps[0]) + 1
+        raise ValueError(f"file {file_id}: range {[int(starts[k]), int(ends[k])]} overlaps another cell")
+    if sum(held) != size:
+        raise ValueError(f"cells of file {file_id} cover {sum(held)} of {size} bits")
+    return np.repeat(np.array(cell_labels, dtype=_label_type(cfg))[cell_of[order]], ends - starts)

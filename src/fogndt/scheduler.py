@@ -29,7 +29,6 @@ from .model import (
     NdtBreakdown,
     NetworkConfig,
     config_to_dict,
-    validate_config,
     validate_group,
 )
 
@@ -64,7 +63,6 @@ class FronthaulTransmission(NamedTuple):
 
 def coded_messages_for_group(group: GroupIndex, cfg: NetworkConfig) -> list[CodedMessage]:
     """All coded messages of one group, in lexicographic (ue_group, en_set) order."""
-    validate_config(cfg)
     m, n = validate_group(group, cfg)
     return list(
         itertools.starmap(
@@ -125,7 +123,6 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
     At i = 0 every owning set already caches its sub-message and the
     transmission list is empty.
     """
-    validate_config(cfg)
     validate_group(group, cfg)
     m, n = group
     if i not in cooperation_increments(n, cfg.num_ens):
@@ -294,7 +291,6 @@ def build_schedule(
     dof: DofProvider = per_user_dof_default,
 ) -> DeliverySchedule:
     """Assemble the full two-hop schedule over all nonempty groups."""
-    validate_config(cfg)
     demand = DemandVector.distinct(cfg) if demand is None else demand.validated(cfg)
     plans: dict[GroupIndex, GroupPlan] = {}
     terms = []

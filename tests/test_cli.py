@@ -127,6 +127,15 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, doc):
     assert err.startswith("error: ")
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_VALID_DOC, "fronthaul_R": 99, "num_file": 7}), encoding="utf-8")
+    code, out, err = _run(capsys, "bounds", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown configuration key: 'fronthaul_R'\n"
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -239,6 +248,17 @@ def test_simulate_bad_demand_exits_2(capsys):
         "--file-bits", "64", "--demand", "1",
     )
     assert code == 2
+    assert "demand" in err
+
+
+@pytest.mark.parametrize("demand", ["1,,2", "1,2,", ",1,2"])
+def test_demand_with_empty_token_exits_2(capsys, demand):
+    code, out, err = _run(
+        capsys, "schedule-export", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+        "--demand", demand,
+    )
+    assert code == 2
+    assert out == ""
     assert "demand" in err
 
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given
@@ -14,7 +14,6 @@ from fogndt.model import (
     NetworkConfig,
     config_from_dict,
     config_to_dict,
-    validate_config,
     validate_group,
 )
 from conftest import make_cfg
@@ -22,19 +21,19 @@ from conftest import make_cfg
 
 def test_validate_config_accepts_minimal():
     cfg = make_cfg()
-    assert validate_config(cfg) is cfg
+    assert (cfg.num_ens, cfg.num_ues, cfg.num_files) == (2, 2, 2)
 
 
 def test_validate_config_rejects_single_en():
     with pytest.raises(ConfigError) as err:
-        validate_config(make_cfg(nt=1))
+        make_cfg(nt=1)
     assert err.value.field == "num_ens"
     assert "below minimum" in str(err.value)
 
 
 def test_validate_config_rejects_small_library():
     with pytest.raises(ConfigError) as err:
-        validate_config(NetworkConfig(2, 5, 4, 0.5, 0.5, 1.0))
+        NetworkConfig(2, 5, 4, 0.5, 0.5, 1.0)
     assert err.value.field == "num_files"
     assert "below num_ues" in str(err.value)
 
@@ -52,7 +51,7 @@ def test_validate_config_rejects_small_library():
 )
 def test_validate_config_names_offending_field(kw, field):
     with pytest.raises(ConfigError) as err:
-        validate_config(make_cfg(**kw))
+        make_cfg(**kw)
     assert err.value.field == field
 
 
@@ -60,12 +59,11 @@ def test_validate_config_names_offending_field(kw, field):
 @pytest.mark.parametrize("field", ["mu_t", "mu_r", "fronthaul_r"])
 def test_validate_config_rejects_non_numeric(field, value):
     with pytest.raises(ConfigError) as err:
-        validate_config(replace(make_cfg(), **{field: value}))
+        replace(make_cfg(), **{field: value})
     assert err.value.field == field
 
 
-_candidates = st.builds(
-    NetworkConfig,
+@given(
     num_ens=st.integers(0, 8),
     num_ues=st.integers(0, 8),
     num_files=st.integers(0, 12),
@@ -73,23 +71,49 @@ _candidates = st.builds(
     mu_r=st.floats(-0.5, 1.5),
     fronthaul_r=st.floats(-1.0, 10.0),
 )
-
-
-@given(_candidates)
-def test_validate_config_matches_invariants(cfg):
+def test_validate_config_matches_invariants(num_ens, num_ues, num_files, mu_t, mu_r, fronthaul_r):
+    values = (num_ens, num_ues, num_files, mu_t, mu_r, fronthaul_r)
     legal = (
-        cfg.num_ens >= 2
-        and cfg.num_ues >= 2
-        and cfg.num_files >= cfg.num_ues
-        and 0.0 <= cfg.mu_t <= 1.0
-        and 0.0 <= cfg.mu_r <= 1.0
-        and cfg.fronthaul_r > 0.0
+        num_ens >= 2
+        and num_ues >= 2
+        and num_files >= num_ues
+        and 0.0 <= mu_t <= 1.0
+        and 0.0 <= mu_r <= 1.0
+        and fronthaul_r > 0.0
     )
     if legal:
-        assert validate_config(cfg) is cfg
+        assert astuple(NetworkConfig(*values)) == values
     else:
         with pytest.raises(ConfigError):
-            validate_config(cfg)
+            NetworkConfig(*values)
+
+
+_LEGAL = {"num_ens": 3, "num_ues": 2, "num_files": 4, "mu_t": 0.25, "mu_r": 0.5, "fronthaul_r": 2.0}
+_values = st.one_of(
+    st.integers(-3, 12),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+
+
+@given(
+    st.dictionaries(st.sampled_from(sorted(_LEGAL)), _values, max_size=2),
+    st.sets(st.sampled_from(sorted(_LEGAL)), max_size=1),
+    st.dictionaries(st.text(max_size=8).filter(lambda k: k not in _LEGAL), _values, max_size=1),
+)
+def test_config_from_dict_returns_equal_config_or_config_error(changes, dropped, junk):
+    doc = {k: v for k, v in {**_LEGAL, **changes}.items() if k not in dropped}
+    doc.update(junk)
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert not (dropped or junk)
+    assert config_to_dict(cfg) == doc
+    assert all(type(getattr(cfg, k)) is type(v) for k, v in doc.items())
 
 
 def test_config_dict_round_trip():

@@ -265,13 +265,23 @@ def test_replay_rejects_descending_ranges():
         lambda doc: doc.update(files=[1, 2]),
         lambda doc: doc.update(files=None),
         lambda doc: doc.update(seed="x"),
+        lambda doc: doc["files"][0]["cells"][0]["ranges"][0].__setitem__(1, 2**70),
+        lambda doc: doc["config"].update(num_file=3),
     ],
-    ids=["no_config", "no_count", "int_files", "null_files", "str_seed"],
+    ids=["no_config", "no_count", "int_files", "null_files", "str_seed", "huge_range_end", "unknown_config_key"],
 )
 def test_replay_structural_fault_raises_value_error(fault):
     doc = _replay_doc()
     fault(doc)
     with pytest.raises(ValueError):
+        placement_from_replay(doc)
+
+
+def test_replay_refuses_unallocatable_file_size():
+    # 10**15-bit files exceed a 47-bit address space, so the allocation fails at once.
+    doc = _replay_doc()
+    doc["file_size_bits"] = 10**15
+    with pytest.raises(ValueError, match="file_size_bits"):
         placement_from_replay(doc)
 
 
