@@ -69,11 +69,16 @@ def _demand_from_args(args, cfg: NetworkConfig) -> DemandVector:
     return DemandVector(demands).validated(cfg)
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(pieces, out: Path | None) -> None:
+    """Write the text pieces, then one LF, to stdout or to the file ``out``, opened once."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
+        fh = sys.stdout
+        fh.writelines(pieces)
+        fh.write("\n")
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 _CONTAINERS = (list, tuple, dict)
@@ -85,8 +90,7 @@ def _json_key(k) -> str:
 
 def _json_text(doc) -> str:
     """``json.dumps`` of ``doc`` at indent 2, byte for byte, in far fewer calls than its pure-Python
-    indent encoder.  Tuples of exact ints are memoized per indent (``1.0`` and ``True`` equal 1)."""
-    memo = {}
+    indent encoder."""
 
     def value(o, pad):
         t = type(o)
@@ -100,11 +104,6 @@ def _json_text(doc) -> str:
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
         inner = pad + "  "
-        if t is tuple and set(map(type, o)) == {int}:
-            text = memo.get((o, pad))
-            if text is None:
-                text = memo[o, pad] = "[\n" + inner + (",\n" + inner).join(map(int.__repr__, o)) + "\n" + pad + "]"
-            return text
         sep = ",\n" + inner
         if isinstance(o, dict):
             items = [(_json_str(k) if type(k) is str else _json_key(k)) + ": " + value(v, inner) for k, v in o.items()]
@@ -112,6 +111,18 @@ def _json_text(doc) -> str:
         return "[\n" + inner + sep.join([value(x, inner) for x in o]) + "\n" + pad + "]"
 
     return value(doc, "")
+
+
+def _number_list(spec: str, flag: str) -> list[float]:
+    """The numbers of a comma list; an empty entry among others is refused, as in ``--demand``.
+    A list with no entry at all is empty, and each command says why it needs one."""
+    tokens = spec.split(",")
+    if not any(tokens):
+        return []
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma list of numbers: {spec!r}") from None
 
 
 def _parse_values(spec: str) -> list[float]:
@@ -130,16 +141,16 @@ def _parse_values(spec: str) -> list[float]:
             raise ValueError("geometric grids need positive endpoints")
         ratio = (stop / start) ** (1.0 / (count - 1))
         return [start * ratio ** k for k in range(count)]
-    return [float(tok) for tok in spec.split(",") if tok]
+    return _number_list(spec, "--values")
 
 
 def _cmd_bounds(args) -> int:
     cfg = _config_from_args(args)
     report = bounds_mod.bounds_report(cfg)
     if args.format == "csv":
-        _emit(bounds_mod.CSV_HEADER + "\n" + report.to_csv_row() + "\n", args.out)
+        _emit([bounds_mod.CSV_HEADER, "\n", report.to_csv_row()], args.out)
     else:
-        _emit(_json_text(report.to_dict()) + "\n", args.out)
+        _emit([_json_text(report.to_dict())], args.out)
     return 0
 
 
@@ -150,12 +161,12 @@ def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     values = _parse_values(args.values)
     if not values:
-        raise ConfigError("values", "sweep needs at least one value")
+        raise ConfigError("values", "sweep needs at least one value in --values")
     lines = [bounds_mod.CSV_HEADER]
     for value in values:
         point = replace(cfg, **{_AXIS_FIELD[args.axis]: value})
         lines.append(bounds_mod.bounds_report(point).to_csv_row())
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines)], args.out)
     return 0
 
 
@@ -167,7 +178,7 @@ def _cmd_simulate(args) -> int:
     try:
         report = execute_schedule(placement, demand, schedule)
     except DecodeFailure as exc:
-        _emit(_json_text({"error": str(exc)}) + "\n", args.out)
+        _emit([_json_text({"error": str(exc)})], args.out)
         return 3
     failures = [q for q, ok in enumerate(report.per_ue_success, start=1) if not ok]
     doc = {
@@ -184,7 +195,7 @@ def _cmd_simulate(args) -> int:
         },
         "failed_ues": failures,
     }
-    _emit(_json_text(doc) + "\n", args.out)
+    _emit([_json_text(doc)], args.out)
     return 3 if failures else 0
 
 
@@ -192,7 +203,7 @@ def _cmd_schedule_export(args) -> int:
     cfg = _config_from_args(args)
     demand = _demand_from_args(args, cfg)
     schedule = build_schedule(cfg, demand)
-    _emit(_json_text(schedule.to_json()) + "\n", args.out)
+    _emit(schedule.json_chunks(), args.out)
     return 0
 
 
@@ -202,11 +213,12 @@ def _parse_range(spec: str) -> range:
 
 
 def _cmd_gap_scan(args) -> int:
-    mu_values = [float(t) for t in args.mu_values.split(",") if t] if args.mu_values else list(_DEFAULT_GAP_MU)
-    r_values = [float(t) for t in args.r_values.split(",") if t] if args.r_values else list(_DEFAULT_GAP_R)
+    mu_values = _DEFAULT_GAP_MU if args.mu_values is None else _number_list(args.mu_values, "--mu-values")
+    r_values = _DEFAULT_GAP_R if args.r_values is None else _number_list(args.r_values, "--r-values")
     nts, nrs = _parse_range(args.nt_range), _parse_range(args.nr_range)
-    if not (nts and nrs and mu_values and r_values):
-        raise ConfigError("grid", "gap-scan grid is empty: every axis needs at least one value")
+    for flag, axis in (("--nt-range", nts), ("--nr-range", nrs), ("--mu-values", mu_values), ("--r-values", r_values)):
+        if not axis:
+            raise ConfigError("grid", f"gap-scan grid is empty: {flag} has no value")
     rows = []
     worst = (-math.inf, None)
     violated = False
@@ -227,7 +239,7 @@ def _cmd_gap_scan(args) -> int:
     rows.sort()
     lines = [bounds_mod.CSV_HEADER + ",degenerate"]
     lines.extend(f"{row},{flag}" for _gap, row, flag in rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines)], args.out)
     if worst[1] is not None:
         c = worst[1]
         print(

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .dof import DofProvider, per_user_dof_default
 from .model import (
@@ -233,6 +233,34 @@ class GroupPlan:
     def fronthaul(self) -> tuple[FronthaulTransmission, ...]:
         return fronthaul_plan(self.index, self.chosen_i, self.cfg)
 
+    def _json_fields(self) -> dict:
+        """The ten scalar fields of this group's schedule entry, in document order."""
+        return {
+            "m": self.index.m,
+            "n": self.index.n,
+            "cooperation_increment": self.chosen_i,
+            "cooperation_level": self.coop_level,
+            "fronthaul_mode": self.mode,
+            "size_fraction": self.size_fraction,
+            "fronthaul_ndt": self.tau_f,
+            "access_ndt": self.tau_a,
+            "per_user_dof": self.dof_value,
+            "normalized_fronthaul_load": self.fronthaul_load,
+        }
+
+
+def _json_list(texts: list[str], nl: str) -> str:
+    """A JSON array of already-written items at json's indent 2; ``nl`` is a newline plus the
+    indent of the brackets."""
+    if not texts:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _json_ints(ints: tuple[int, ...], nl: str) -> str:
+    return _json_list([*map(repr, ints)], nl)
+
 
 @dataclass(frozen=True)
 class DeliverySchedule:
@@ -243,6 +271,17 @@ class DeliverySchedule:
     groups: dict[GroupIndex, GroupPlan]
     breakdown: NdtBreakdown
 
+    def _json_head(self) -> dict:
+        """The schedule document's fields before ``groups``, in document order."""
+        return {
+            "format": "fogndt-schedule/1",
+            "config": config_to_dict(self.cfg),
+            "demand": list(self.demand.demands),
+            "fronthaul_ndt": self.breakdown.total_f,
+            "access_ndt": self.breakdown.total_a,
+            "total_ndt": self.breakdown.total,
+        }
+
     def to_json(self) -> dict:
         groups = []
         for g in sorted(self.groups):
@@ -250,16 +289,7 @@ class DeliverySchedule:
             coops = plan.sub_messages
             groups.append(
                 {
-                    "m": g.m,
-                    "n": g.n,
-                    "cooperation_increment": plan.chosen_i,
-                    "cooperation_level": plan.coop_level,
-                    "fronthaul_mode": plan.mode,
-                    "size_fraction": plan.size_fraction,
-                    "fronthaul_ndt": plan.tau_f,
-                    "access_ndt": plan.tau_a,
-                    "per_user_dof": plan.dof_value,
-                    "normalized_fronthaul_load": plan.fronthaul_load,
+                    **plan._json_fields(),
                     "messages": [
                         {
                             "ue_group": ue_group,
@@ -274,15 +304,57 @@ class DeliverySchedule:
                     ],
                 }
             )
-        return {
-            "format": "fogndt-schedule/1",
-            "config": config_to_dict(self.cfg),
-            "demand": list(self.demand.demands),
-            "fronthaul_ndt": self.breakdown.total_f,
-            "access_ndt": self.breakdown.total_a,
-            "total_ndt": self.breakdown.total,
-            "groups": groups,
-        }
+        return {**self._json_head(), "groups": groups}
+
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_json(), indent=2)`` in pieces: the head, one piece per group, the tail.
+
+        Only one group's text exists at a time.  Within a group, the text of each edge-node
+        cache set with its sub-messages, and of each fronthaul ``(coop_set, cache_sets)``
+        pair, is written once; so is each user group's text per call.  Each message or
+        transmission is then one concatenation.  Exact ints and finite floats are written
+        by their ``__repr__``, as json writes them, and any other scalar by ``json.dumps``.
+        """
+        import json  # local: this writer is the module's only json user
+
+        def scalar(v) -> str:
+            t = type(v)
+            return t.__repr__(v) if t is int or t is float and math.isfinite(v) else json.dumps(v)
+
+        nl6, nl8, nl10, nl12, nl14 = ("\n" + " " * k for k in (6, 8, 10, 12, 14))
+
+        @cache
+        def ue_head(ue_group: tuple[int, ...]) -> str:
+            return "{" + nl10 + '"ue_group": ' + _json_ints(ue_group, nl10) + "," + nl10
+
+        def message_tail(cache: tuple[int, ...], coops: tuple[tuple[int, ...], ...]) -> str:
+            subs = _json_list(["{" + nl14 + '"coop_set": ' + _json_ints(c, nl14) + nl12 + "}" for c in coops], nl10)
+            return '"en_cache_set": ' + _json_ints(cache, nl10) + "," + nl10 + '"sub_messages": ' + subs + nl8 + "}"
+
+        @cache
+        def tx_tail(coop: tuple[int, ...], caches: tuple[tuple[int, ...], ...]) -> str:
+            cache_sets = _json_list([_json_ints(c, nl12) for c in caches], nl10)
+            return '"coop_set": ' + _json_ints(coop, nl10) + "," + nl10 + '"cache_sets": ' + cache_sets + nl8 + "}"
+
+        head = json.dumps(self._json_head(), indent=2)[:-2] + ',\n  "groups": '
+        if not self.groups:
+            yield head + "[]\n}"
+            return
+        yield head + "["
+        sep = "\n    "
+        for g in sorted(self.groups):
+            plan = self.groups[g]
+            fields = [json.encoder.encode_basestring_ascii(k) + ": " + scalar(v) for k, v in plan._json_fields().items()]
+            tails = {cache: message_tail(cache, coops) for cache, coops in plan.sub_messages.items()}
+            messages = [ue_head(u) + tails[c] for u, c in plan.messages]
+            transmissions = [ue_head(tx.ue_group) + tx_tail(tx.coop_set, tx.cache_sets) for tx in plan.fronthaul]
+            yield (
+                sep + "{" + nl6 + ("," + nl6).join(fields)
+                + "," + nl6 + '"messages": ' + _json_list(messages, nl6)
+                + "," + nl6 + '"fronthaul_transmissions": ' + _json_list(transmissions, nl6) + "\n    }"
+            )
+            sep = ",\n    "
+        yield "\n  ]\n}"
 
 
 def build_schedule(

@@ -284,6 +284,27 @@ def test_schedule_export(capsys):
     assert doc["total_ndt"] == doc["fronthaul_ndt"] + doc["access_ndt"]
 
 
+_EXPORT_ARGS = ("schedule-export", "--nt", "3", "--nr", "2", "--nfiles", "3", "--mut", "0.4", "--mur", "0.3",
+                "--r", "2", "--demand", "3,3")
+
+
+def test_schedule_export_out_file_matches_stdout(tmp_path, capsys):
+    target = tmp_path / "schedule.json"
+    code, printed, _ = _run(capsys, *_EXPORT_ARGS)
+    assert code == 0
+    code, out, _ = _run(capsys, *_EXPORT_ARGS, "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_schedule_export_unwritable_out_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "schedule.json" if where == "missing-directory" else tmp_path
+    code, out, err = _run(capsys, *_EXPORT_ARGS, "--out", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 def test_gap_scan_single_cell(capsys):
     code, out, err = _run(
         capsys, "gap-scan", "--nt-range", "2:2", "--nr-range", "2:2",
@@ -307,6 +328,32 @@ def test_gap_scan_flags_degenerate_rows(capsys):
     flags = {row.split(",")[3]: row.split(",")[-1] for row in rows}
     assert flags["1.0"] == "1"
     assert flags["0.5"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gap-scan", "--nt-range", "2", "--nr-range", "2", "--mu-values", "0.5,,0.7", "--r-values", "1"),
+         "--mu-values"),
+        (("gap-scan", "--nt-range", "2", "--nr-range", "2", "--mu-values", "0.5", "--r-values", "1,"), "--r-values"),
+        (("gap-scan", "--nt-range", "2", "--nr-range", "2", "--mu-values", "", "--r-values", ""), "--mu-values"),
+        (("gap-scan", "--nt-range", "2", "--nr-range", "2", "--mu-values", "0.5", "--r-values", ""), "--r-values"),
+        (("sweep", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+          "--axis", "r", "--values", "1,,2,"), "--values"),
+        (("sweep", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+          "--axis", "r", "--values", ",1"), "--values"),
+        (("sweep", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+          "--axis", "r", "--values", ""), "--values"),
+    ],
+    ids=["gap-mu-inner", "gap-r-trailing", "gap-both-empty", "gap-r-empty",
+         "sweep-inner-trailing", "sweep-leading", "sweep-empty"],
+)
+def test_empty_grid_token_exits_2(capsys, argv, flag):
+    # An empty entry is refused as in --demand, never dropped; an empty list
+    # never falls back to a default grid.
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and flag in err
 
 
 @pytest.mark.parametrize("flag, value", [("--nt-range", "6:2"), ("--mu-values", ",")])
@@ -408,7 +455,7 @@ _JSON_DOCS = st.recursive(
 )
 
 
-# Equal as tuples, different as JSON: the writer's tuple memo must keep them apart.
+# Equal as tuples, different as JSON: a writer that memoized tuples by value would mix them up.
 _EQUAL_TUPLES = [(1,), (1.0,), (True,), (0.0,), (-0.0,)]
 
 

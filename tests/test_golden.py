@@ -37,6 +37,13 @@ CASES = {
          "--mur", "0.4", "--r", "0.5", "--demand", "3,3"],
         "c1bcbc4e75a2d65e26da627994ba12113970960e282b549a66d95832d3a92dbf",
     ),
+    # The shape and seed-0 demand of perfbench's export_5x5 workload, whose
+    # pinned digest this equals.
+    "export_5x5_demand_permuted": (
+        ["schedule-export", "--nt", "5", "--nr", "5", "--mut", "0.5", "--mur", "0.5", "--r", "100.0",
+         "--demand", "3,2,1,5,4"],
+        "593647536fa710bf539820198d41c6e7fcec6c0547c2571b147e216787fc74ce",
+    ),
     "simulate_2x2": (
         ["simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
          "--file-bits", "3000", "--seed", "7"],

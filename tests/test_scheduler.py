@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogndt.bounds import ndt_upper
@@ -480,3 +480,37 @@ def test_schedule_json_follows_index_set_rules(nt, nr, mu_t, mu_r, r, data):
             for u in ue_groups
             for caches in fronthaul_payloads(coop, n, mode)
         ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nt=st.integers(2, 5),
+    nr=st.integers(2, 4),
+    extra_files=st.integers(0, 2),
+    mu_t=_UNIT,
+    mu_r=_UNIT,
+    r=st.sampled_from([1e-3, 0.5, 4.0, 1e6, math.inf]),
+    raw_demand=st.lists(st.integers(1, 6), min_size=4, max_size=4),
+    step=st.none() | st.tuples(st.integers(1, 5), st.floats(0.1, 1.0)),
+)
+# A step DoF that picks naive mode for group (0, 1) and coded mode for (0, 2),
+# with a repeated demand for a file outside 1..n_r.
+@example(nt=5, nr=2, extra_files=1, mu_t=0.5, mu_r=0.25, r=4.0, raw_demand=[3, 3, 1, 1], step=(3, 0.3))
+# Users cache everything: the document has no groups.
+@example(nt=2, nr=2, extra_files=0, mu_t=0.5, mu_r=1.0, r=math.inf, raw_demand=[1, 1, 1, 1], step=None)
+def test_json_chunks_join_to_json_dumps(nt, nr, extra_files, mu_t, mu_r, r, raw_demand, step):
+    nfiles = nr + extra_files
+    demand = DemandVector(tuple(1 + (d - 1) % nfiles for d in raw_demand[:nr]))
+    if step is None:
+        dof = per_user_dof_default
+    else:
+        level, low = step
+
+        def dof(m, j, cfg):
+            return 1.0 if j >= level else low
+
+    cfg = make_cfg(nt=nt, nr=nr, nfiles=nfiles, mu_t=mu_t, mu_r=mu_r, r=r)
+    schedule = build_schedule(cfg, demand, dof=dof)
+    chunks = list(schedule.json_chunks())
+    assert len(chunks) == len(schedule.groups) + (2 if schedule.groups else 1)
+    assert "".join(chunks) == json.dumps(schedule.to_json(), indent=2)
