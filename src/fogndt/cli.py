@@ -171,6 +171,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer: {args.seed}")
     cfg = _config_from_args(args)
     demand = _demand_from_args(args, cfg)
     schedule = build_schedule(cfg, demand)

@@ -5,24 +5,35 @@ counts every transmitted bit.  Realized cells have unequal sizes at finite
 file length, so XOR constituents are zero-padded to the longest participant;
 the padding is tracked separately and vanishes relative to the file size.
 
-Decodability is a property of index sets, and the oracle checks it there.
-An edge node decodes a fronthaul payload when it caches all its sub-messages
-but one, and must end the hop holding every sub-message its cooperation set
-sends, else :class:`DecodeFailure` is raised.  A user decodes its slice of an
-access payload because it caches every other constituent; a user left short
-of bits of its demanded file reads False in ``per_ue_success``.  Either failure
-means a scheme or accounting bug, never noise.
+It runs in array operations, with no loop per message or per slice.  The
+index sets of every group's plan become arrays in one pass, and each cell
+lookup, message length, slice cut, load, fronthaul lookup and decode check
+is then one array operation over the whole schedule.  Bits are materialized
+one group at a time: the group's messages lie at offsets in one buffer,
+every constituent's cell is XORed in at its message's offset, and every
+fronthaul payload is cut from that buffer and XORed the same way.
+
+Decodability is a property of index sets, and the oracle checks it there,
+with cache sets as node bitmasks.  An edge node decodes a fronthaul payload
+when it caches all its sub-messages but one, and must end the hop holding
+every sub-message its cooperation set sends, else :class:`DecodeFailure` is
+raised for the first failure in the plan's order.  A user decodes its slice
+of an access payload because it caches every other constituent; a user left
+short of bits of its demanded file reads False in ``per_ue_success``.
+Either failure means a scheme or accounting bug, never noise.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import DemandVector, GroupIndex
-from .placement import PlacementRealization, pack_label
-from .scheduler import CODED_MULTICAST, DeliverySchedule, fronthaul_payloads
+from .placement import PlacementRealization
+from .scheduler import CODED_MULTICAST, DeliverySchedule
 
 
 class DecodeFailure(Exception):
@@ -106,28 +117,95 @@ class DecodeReport:
         return doc
 
 
-def _slice_bounds(length: int, pieces: int) -> list[tuple[int, int]]:
-    """Split [0, length) into near-equal chunks; earlier chunks take the remainder."""
-    base, rem = divmod(length, pieces)
-    cuts = [k * base + min(k, rem) for k in range(pieces + 1)]
-    return list(zip(cuts, cuts[1:]))
+# Ranges at least this long are XORed as slices, shorter ones in one gather: a
+# slice costs about a microsecond of Python, a gathered bit about ten nanoseconds.
+_SLICE_BITS = 128
 
 
-class _SubSlice(NamedTuple):
-    cells: list[np.ndarray]  # each constituent's view of its user's coverage, in ``ue_group`` order
-    start: int
-    end: int
-    bits: np.ndarray  # this slice of the message's XOR
+class _TupleIds(dict):
+    """Small ids for node-id tuples, in order of first sight, and each tuple's node bitmask
+    (bit ``x - 1`` for node ``x``)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.masks: list[int] = []
+
+    def __missing__(self, nodes: tuple[int, ...]) -> int:
+        mask = 0
+        for x in nodes:
+            mask |= 1 << (x - 1)
+        self[nodes] = len(self.masks)
+        self.masks.append(mask)
+        return self[nodes]
+
+    def of(self, tuples, count: int) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, tuples), np.int64, count)
 
 
-_ABSENT = _SubSlice([], 0, 0, np.empty(0, dtype=np.uint8))
+def _lengths(items, count: int) -> np.ndarray:
+    return np.fromiter(map(len, items), np.int64, count)
 
 
-def _record(records, channel, group, ue_group, coop, cache_sets, bits: np.ndarray) -> None:
-    """Keep one nonempty payload, hex-packed; ``records`` is None when payloads are not kept."""
-    if records is not None and bits.size:
-        hex_bits = np.packbits(bits).tobytes().hex()
-        records.append(PayloadRecord(channel, *group, ue_group, coop, cache_sets, hex_bits, bits.size))
+def _starts(sizes) -> np.ndarray:
+    """Where each of consecutive runs of ``sizes`` begins, then where the last one ends."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The largest of each run of ``counts[j]`` consecutive values; 0 for an empty run."""
+    out = np.zeros(counts.size, dtype=np.int64)
+    nonempty = counts > 0
+    if values.size:
+        out[nonempty] = np.maximum.reduceat(values, _starts(counts)[:-1][nonempty])
+    return out
+
+
+def _xor_ranges(out: np.ndarray, sources, runs: list[int], dest, start, size) -> None:
+    """``out[d : d + z] ^= source[s : s + z]`` for every range ``(d, s, z)``, where ranges
+    ``runs[i]`` to ``runs[i + 1]`` read ``sources[i]``; ``out`` and the sources hold 0 or 1.
+
+    Long ranges are XORed as slices.  The short ones are gathered bit by bit, one take
+    per source, and XORed in by parity, the low bit of a sum, so they may overlap.
+    """
+    for j in (size >= _SLICE_BITS).nonzero()[0].tolist():
+        source = sources[bisect.bisect_right(runs, j) - 1]
+        d, s, z = int(dest[j]), int(start[j]), int(size[j])
+        out[d : d + z] ^= source[s : s + z]
+    size = np.where(size < _SLICE_BITS, size, 0)
+    edges = _starts(size)
+    src = np.arange(edges[-1]) + (start - edges[:-1]).repeat(size)
+    bits = np.empty(src.size, dtype=np.uint8)
+    edges = edges[runs].tolist()
+    for source, a, b in zip(sources, edges, edges[1:]):
+        if a < b:
+            source.take(src[a:b], out=bits[a:b])
+    np.add.at(out, src + (dest - start).repeat(size), bits)
+    out &= 1
+
+
+def _find_cells(indices, user: np.ndarray, label: np.ndarray, file_size: int):
+    """Each constituent's cell, as its start in its user's index and its bit count, and
+    whether each user decodes its file: the cells it holds, those with its own bit, and
+    the distinct cells it recovers must cover it.  One binary search per user, over
+    that user's labels in ascending order."""
+    by_user = np.lexsort((label, user))
+    runs = user[by_user].searchsorted(np.arange(1, len(indices) + 2)).tolist()
+    start = np.empty(user.size, dtype=np.int64)
+    count = np.empty(user.size, dtype=np.int64)
+    success = []
+    for q, index in enumerate(indices):
+        at = by_user[runs[q] : runs[q + 1]]
+        keys = label[at].astype(index.labels.dtype)
+        start[at] = index.labels.searchsorted(keys)
+        count[at] = index.labels.searchsorted(keys, "right") - start[at]
+        again = at[1:][keys[1:] == keys[:-1]]
+        held = int(np.count_nonzero(index.labels & (1 << q)))
+        success.append(held + int(count[at].sum()) - int(count[again].sum()) == file_size)
+    return start, count, tuple(success)
+
+
+def _hex(bits: np.ndarray) -> str:
+    return np.packbits(bits).tobytes().hex()
 
 
 def execute_schedule(
@@ -143,114 +221,209 @@ def execute_schedule(
     if demand != schedule.demand:
         raise ValueError("demand does not match the one the schedule was built for")
     demand.validated(cfg)
-    nr = cfg.num_ues
+    nr, nt = cfg.num_ues, cfg.num_ens
     file_size = placement.file_size_bits
-
-    # Each user's demanded file in label order, and the bits of it the user already holds.
     indices = [placement.cell_indices(file_id) for file_id in demand.demands]
-    user_bits = [pack_label((q,), (), cfg) for q in range(1, nr + 1)]
-    covered = [(index.labels & bit).astype(bool) for index, bit in zip(indices, user_bits)]
+    groups = sorted(schedule.groups)
+    plans = [schedule.groups[g] for g in groups]
 
-    fronthaul_total = 0
+    # The plans' index sets, group after group, as arrays: messages with their
+    # cooperation sets, fronthaul transmissions with their cache sets.  Each
+    # node-id tuple becomes a small id with a node bitmask.
+    ue_groups, caches, coop_lists, txs = [], [], [], []
+    msg_counts, tx_counts = [], []
+    for plan in plans:
+        coops_of = plan.sub_messages
+        pairs = tuple(zip(*plan.messages)) or ((), ())
+        ue_groups += pairs[0]
+        caches += pairs[1]
+        coop_lists += map(coops_of.__getitem__, pairs[1])
+        txs += plan.fronthaul
+        msg_counts.append(len(pairs[0]))
+        tx_counts.append(len(plan.fronthaul))
+    ids = _TupleIds()
+    count_m, count_t = len(ue_groups), len(txs)
+    ue_id, cache_id = ids.of(ue_groups, count_m), ids.of(caches, count_m)
+    width, ways = _lengths(ue_groups, count_m), _lengths(coop_lists, count_m)
+    user = np.fromiter(itertools.chain.from_iterable(ue_groups), np.int64, int(width.sum()))
+    sub_coop = ids.of(itertools.chain.from_iterable(coop_lists), int(ways.sum()))
+    tx_ues, tx_coops, tx_caches = tuple(zip(*txs)) or ((), (), ())
+    pieces = _lengths(tx_caches, count_t)
+    tx_ue, tx_coop = ids.of(tx_ues, count_t), ids.of(tx_coops, count_t)
+    piece_cache = ids.of(itertools.chain.from_iterable(tx_caches), int(pieces.sum()))
+    masks = np.array(ids.masks, dtype=np.int64)
+    msg_group = np.arange(len(plans)).repeat(msg_counts)
+    msg_first, tx_first = _starts(msg_counts), _starts(tx_counts)
+
+    # Constituent k of a message is user q = ue_group[k]'s demanded file at
+    # the message's label without q.
+    ue_mask, cache_mask = masks[ue_id], masks[cache_id]
+    if ((ue_mask >> nr) | (cache_mask >> nt)).any():
+        raise ValueError("a message names a node outside the network")
+    msg_of = np.arange(count_m).repeat(width)
+    label = (ue_mask | cache_mask << nr)[msg_of] & ~(1 << (user - 1))
+    start, count, success = _find_cells(indices, user, label, file_size)
+
+    # Each message is zero-padded to its longest constituent.  Positions are
+    # in one virtual buffer holding every message in order; group g's own
+    # buffer is its stretch from group_at[g].  Each sub-message owns one
+    # near-equal slice of its message, earlier slices taking the remainder.
+    length = _segment_max(count, width)
+    msg_at = length.cumsum() - length
+    group_at = _starts(length)[msg_first]
+    naive_fh = np.diff(group_at)
+    group_m = np.array([g.m for g in groups], dtype=np.int64)
+    padding_total = int(((group_m + 1) * naive_fh).sum()) - int(count.sum())
+    sub_msg = np.arange(count_m).repeat(ways)
+    k = np.arange(sub_msg.size) - (ways.cumsum() - ways)[sub_msg]
+    base, rem = np.divmod(length, np.maximum(ways, 1))
+    base, rem = base[sub_msg], rem[sub_msg]
+    sub_at = msg_at[sub_msg] + k * base + np.minimum(k, rem)
+    sub_size = base + (k < rem)
+    sub_group, sub_cache = msg_group[sub_msg], cache_id[sub_msg]
+
+    # Fronthaul hop: each payload XORs the sub-messages its cache sets name,
+    # looked up by key (group, user group, cache set, cooperation set).
+    n_ids = len(ids.masks)
+    never = np.iinfo(np.int64).max
+    if len(plans) * n_ids**3 >= never:
+        raise ValueError("schedule too large for the oracle's sub-message keys")
+    sub_key = ((sub_group * n_ids + ue_id[sub_msg]) * n_ids + sub_cache) * n_ids + sub_coop
+    key_order = sub_key.argsort(kind="stable")
+    sorted_keys = np.append(sub_key[key_order], never)
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise ValueError("a plan lists a sub-message twice")
+    tx_of = np.arange(count_t).repeat(pieces)
+    tx_group = np.arange(len(plans)).repeat(tx_counts)
+    position = np.arange(tx_of.size) - (pieces.cumsum() - pieces)[tx_of]
+    piece_key = ((tx_group * n_ids + tx_ue)[tx_of] * n_ids + piece_cache) * n_ids + tx_coop[tx_of]
+    at = sorted_keys.searchsorted(piece_key)
+    piece_sub = np.where(sorted_keys[at] == piece_key, np.append(key_order, -1)[at], -1)
+    sent = (piece_sub >= 0).nonzero()[0]
+    piece_size = np.zeros(tx_of.size, dtype=np.int64)
+    piece_size[sent] = sub_size[piece_sub[sent]]
+    payload_len = _segment_max(piece_size, pieces)
+    payload_at = payload_len.cumsum() - payload_len
+    group_payload_at = _starts(payload_len)[tx_first]
+    group_fh = np.diff(group_payload_at)
+    padding_total += int((pieces * payload_len).sum()) - int(piece_size.sum())
+
+    # An edge node of the cooperation set decodes a payload when it caches
+    # all of its sub-messages but one: the node is in exactly one piece's set
+    # of cooperating nodes that do not cache it.  That piece must be a
+    # sub-message of the plan, and every edge node of a cooperation set must
+    # end the hop holding each sub-message it sends.  The first failure is
+    # raised: in group order, and within a group a transmission's (in plan
+    # order, then in cooperation-set order) before the end of the hop's.
+    unknown = masks[tx_coop][tx_of] & ~masks[piece_cache]
+    seen = np.zeros(count_t, dtype=np.int64)
+    twice = np.zeros(count_t, dtype=np.int64)
+    for r in range(int(pieces.max(initial=0))):
+        at = (position == r).nonzero()[0]
+        t, u = tx_of[at], unknown[at]
+        twice[t] |= seen[t] & u
+        seen[t] |= u
+    decodes = unknown & (seen & ~twice)[tx_of]
+    decoded = np.zeros(sub_key.size, dtype=np.int64)
+    np.bitwise_or.at(decoded, piece_sub[sent], decodes[sent])
+    missing = masks[sub_coop] & ~masks[sub_cache] & ~decoded
+    bad_piece = ((piece_sub < 0) & (decodes != 0)).nonzero()[0]
+    bad_sub = missing.nonzero()[0]
+    if bad_piece.size and (not bad_sub.size or tx_group[tx_of[bad_piece[0]]] <= sub_group[bad_sub[0]]):
+        tx = txs[tx_of[bad_piece[0]]]
+        failing = bad_piece[tx_of[bad_piece] == tx_of[bad_piece[0]]]
+        p = next(p for p in tx.coop_set if (decodes[failing] >> (p - 1) & 1).any())
+        cache = tx.cache_sets[position[failing[(decodes[failing] >> (p - 1) & 1).argmax()]]]
+        raise DecodeFailure(("en", p), (tx.ue_group, cache, tx.coop_set), cache)
+    if bad_sub.size:
+        s, j = bad_sub[0], sub_msg[bad_sub[0]]
+        lowest = int(missing[s]) & -int(missing[s])
+        raise DecodeFailure(("en", lowest.bit_length()), (ue_groups[j], caches[j], coop_lists[j][k[s]]), caches[j])
+
+    # The coded-multicast cost of the same sub-messages, for groups sent
+    # otherwise (0 at n = 0): a payload XORs the n-subsets of one
+    # (n+1)-subset d of the cooperation set and costs its longest
+    # sub-message.  A sub-message enters the payloads d = c + {p}, for its
+    # cache set c and each p of its cooperation set outside c.
+    naive = np.array([plan.mode != CODED_MULTICAST for plan in plans], dtype=bool)
+    coded_fh = np.where(naive, 0, group_fh)
+    naive &= np.array([g.n > 0 for g in groups], dtype=bool)
+    cache_mask = masks[sub_cache]
+    outside = np.where(naive[sub_group], masks[sub_coop] & ~cache_mask, 0)
+    s, p = ((outside[:, None] >> np.arange(nt)) & 1).nonzero()
+    if s.size:
+        pair = (sub_group[s] * n_ids + ue_id[sub_msg[s]]) * n_ids + sub_coop[s]
+        d = cache_mask[s] | (1 << p)
+        by_payload = np.lexsort((d, pair))
+        pair, d = pair[by_payload], d[by_payload]
+        firsts = np.concatenate(([0], ((pair[1:] != pair[:-1]) | (d[1:] != d[:-1])).nonzero()[0] + 1))
+        cost = np.maximum.reduceat(sub_size[s[by_payload]], firsts)
+        coded_fh += np.bincount(pair[firsts] // n_ids**2, weights=cost, minlength=len(plans)).astype(np.int64)
+
+    # Access hop: every sub-message slice is one multicast payload; its users
+    # cache every constituent but their own, so each recovers its own.
+    sub_first = _starts(ways)[msg_first]
+    group_access = np.diff(_starts(sub_size)[sub_first])
+    group_user = msg_group[msg_of] * (nr + 1) + user
+    loads = np.bincount(group_user, weights=length[msg_of], minlength=len(plans) * (nr + 1))
+    max_load = loads.reshape(len(plans), nr + 1).max(axis=1, initial=0).astype(np.int64)
+
+    # Materialize every payload, one group at a time: each constituent's cell
+    # XORed in at its message's offset in the group's buffer, user by user,
+    # then each fronthaul payload cut from that buffer.
+    records: list[PayloadRecord] = [] if record_payloads else None
+    sources = [index.bits for index in indices]
+    by_group = group_user.argsort(kind="stable")
+    runs = group_user[by_group].searchsorted(np.arange(len(plans) * (nr + 1) + 1)).tolist()
+    cell_dest = (msg_at - group_at[msg_group])[msg_of][by_group]
+    cell_start, cell_count = start[by_group], count[by_group]
+    sent_first = sent.searchsorted(_starts(pieces)[tx_first]).tolist()
+    for g, (m, n) in enumerate(groups):
+        if not naive_fh[g]:
+            continue
+        user_runs = runs[g * (nr + 1) + 1 : (g + 1) * (nr + 1) + 1]
+        a, b = user_runs[0], user_runs[-1]
+        xor = np.zeros(naive_fh[g], dtype=np.uint8)
+        _xor_ranges(xor, sources, [r - a for r in user_runs], cell_dest[a:b], cell_start[a:b], cell_count[a:b])
+        fronthaul = np.zeros(group_fh[g], dtype=np.uint8)
+        if fronthaul.size:
+            at = sent[sent_first[g] : sent_first[g + 1]]
+            subs = piece_sub[at]
+            dest = payload_at[tx_of[at]] - group_payload_at[g]
+            _xor_ranges(fronthaul, [xor], [0, at.size], dest, sub_at[subs] - group_at[g], sub_size[subs])
+        if records is not None:
+            for t in range(tx_first[g], tx_first[g + 1]):
+                if payload_len[t]:
+                    a = payload_at[t] - group_payload_at[g]
+                    bits = fronthaul[a : a + payload_len[t]]
+                    records.append(PayloadRecord("fronthaul", m, n, *txs[t], _hex(bits), bits.size))
+            for s in range(sub_first[g], sub_first[g + 1]):
+                if sub_size[s]:
+                    j, a = sub_msg[s], sub_at[s] - group_at[g]
+                    bits = xor[a : a + sub_size[s]]
+                    coop = coop_lists[j][k[s]]
+                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop, (caches[j],), _hex(bits), bits.size))
+
     tau_a_emp = 0.0
-    padding_total = 0
     access_by_coop: dict[int, int] = {}
     per_group: dict[GroupIndex, GroupStats] = {}
-    records: list[PayloadRecord] = [] if record_payloads else None
-
-    for group in sorted(schedule.groups):
-        plan = schedule.groups[group]
-        m, n = group
-        coop_level = plan.coop_level
-
-        # Materialize messages; each sub-message owns one slice of
-        # its message, keyed by (user group, cache set, cooperation set).
-        subs: dict[tuple, _SubSlice] = {}
-        naive_fh = 0
-        coops_of = plan.sub_messages
-        for ue_group, cache in plan.messages:
-            coops = coops_of[cache]
-            # Constituent q is user q's demanded file at the message's label without q.
-            whole = pack_label(ue_group, cache, cfg)
-            spans = [(q, indices[q - 1].span(whole & ~user_bits[q - 1])) for q in ue_group]
-            cells = [covered[q - 1][span] for q, span in spans]
-            xor = np.zeros(max(cell.size for cell in cells), dtype=np.uint8)
-            for q, span in spans:
-                xor[: span.stop - span.start] ^= indices[q - 1].bits[span]
-            length = xor.size
-            padding_total += (m + 1) * length - sum(cell.size for cell in cells)
-            naive_fh += length
-            for coop, (a, b) in zip(coops, _slice_bounds(length, len(coops))):
-                subs[(ue_group, cache, coop)] = _SubSlice(cells, a, b, xor[a:b])
-
-        # Fronthaul hop: each payload XORs the sub-messages its cache sets
-        # name.  An edge node of the cooperation set decodes a payload when it
-        # caches all of them but one, which must be a sub-message of the plan.
-        group_fh = 0
-        decoded: dict[tuple, set[int]] = {}
-        for tx in plan.fronthaul:
-            keys = [(tx.ue_group, cache, tx.coop_set) for cache in tx.cache_sets]
-            pieces = [subs.get(key, _ABSENT).bits for key in keys]
-            payload_len = max((piece.size for piece in pieces), default=0)
-            payload = np.zeros(payload_len, dtype=np.uint8)
-            for piece in pieces:
-                payload[: piece.size] ^= piece
-                padding_total += payload_len - piece.size
-            group_fh += payload_len
-            _record(records, "fronthaul", group, tx.ue_group, tx.coop_set, tx.cache_sets, payload)
-            for p in tx.coop_set:
-                unknown = [k for k, cache in enumerate(tx.cache_sets) if p not in cache]
-                if len(unknown) == 1:
-                    (k,) = unknown
-                    if keys[k] not in subs:
-                        raise DecodeFailure(("en", p), keys[k], tx.cache_sets[k])
-                    decoded.setdefault(keys[k], set()).add(p)
-        # Every edge node of a cooperation set now holds each sub-message it sends.
-        for key in subs:
-            _, cache, coop = key
-            missing = set(coop).difference(cache, decoded.get(key, ()))
-            if missing:
-                raise DecodeFailure(("en", min(missing)), key, cache)
-        fronthaul_total += group_fh
-        coded_fh = group_fh
-        if plan.mode != CODED_MULTICAST:
-            # The coded-multicast cost of the same sub-messages (0 at n = 0).
-            coded_fh = 0
-            for ue_group, coop in dict.fromkeys((ue_group, coop) for ue_group, _, coop in subs):
-                for caches in fronthaul_payloads(coop, n, CODED_MULTICAST):
-                    coded_fh += max(subs.get((ue_group, c, coop), _ABSENT).bits.size for c in caches)
-
-        # Access hop: every sub-message slice is one multicast payload.
-        loads = [0] * nr
-        group_access = 0
-        for (ue_group, cache, coop), (cells, a, b, payload) in subs.items():
-            size = b - a
-            if size == 0:
-                continue
-            group_access += size
-            _record(records, "access", group, ue_group, coop, (cache,), payload)
-            # Each user caches every constituent but its own, so it recovers
-            # and covers its own stretch of this slice.
-            for q, cover in zip(ue_group, cells):
-                loads[q - 1] += size
-                cover[a:b] = True
-        access_by_coop[coop_level] = access_by_coop.get(coop_level, 0) + group_access
-        max_load = max(loads) if loads else 0
+    for g, (group, plan) in enumerate(zip(groups, plans)):
+        access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + int(group_access[g])
         # Summed in ascending (m, n) order, as the analytic breakdown is.
-        tau_a_emp += (max_load / file_size) / plan.dof_value
+        tau_a_emp += (int(max_load[g]) / file_size) / plan.dof_value
         per_group[group] = GroupStats(
-            fronthaul_bits=group_fh,
-            naive_fronthaul_bits=naive_fh,
-            coded_fronthaul_bits=coded_fh,
-            access_bits=group_access,
-            max_per_ue_access_bits=max_load,
-            coop_level=coop_level,
+            fronthaul_bits=int(group_fh[g]),
+            naive_fronthaul_bits=int(naive_fh[g]),
+            coded_fronthaul_bits=int(coded_fh[g]),
+            access_bits=int(group_access[g]),
+            max_per_ue_access_bits=int(max_load[g]),
+            coop_level=plan.coop_level,
             mode=plan.mode,
             chosen_i=plan.chosen_i,
         )
-
+    fronthaul_total = int(group_fh.sum())
     return DecodeReport(
-        per_ue_success=tuple(bool(c.all()) for c in covered),
+        per_ue_success=success,
         fronthaul_bits=fronthaul_total,
         access_bits_by_coop=access_by_coop,
         padding_overhead_bits=padding_total,

@@ -26,6 +26,9 @@ _MAX_PACKED_NODES = 30
 # Bits per block of label draws: bounds sampling scratch to a few MB per side.
 _LABEL_CHUNK_BITS = 1 << 16
 
+# Bits per chunk of the cell index's counting sort: bounds its argsort scratch to a few MB.
+_SORT_CHUNK_BITS = 1 << 19
+
 REPLAY_FORMAT = "fogndt-placement/1"
 
 
@@ -74,18 +77,47 @@ class CellIndex(NamedTuple):
     labels: np.ndarray
     bits: np.ndarray
 
-    def span(self, label: int) -> slice:
-        """The range of one cell; empty when nothing landed there."""
-        # A Python int would make numpy convert the whole array on every call.
-        key = self.labels.dtype.type(label)
-        return slice(self.labels.searchsorted(key), self.labels.searchsorted(key, "right"))
-
 
 def _label_order(labels: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
     """A file's labels as keys of the narrowest label type, and their stable argsort."""
     # Narrow keys order as wider ones do, and numpy radix-sorts 8- and 16-bit keys.
     keys = labels.astype(_label_type(cfg), copy=False)
     return keys, np.argsort(keys, kind="stable")
+
+
+def _cell_index(keys: np.ndarray, bits: np.ndarray) -> CellIndex:
+    """``keys`` sorted and ``bits`` in stable key order.
+
+    A file of more than one chunk is placed by a counting sort: each key's
+    run starts where the counts of the smaller keys end, and each chunk goes
+    to its keys' next free slots through a chunk-sized stable argsort, so no
+    file-sized position array is built.  Keys of up to 16 bits count
+    themselves; wider ones are counted by their rank among the distinct keys.
+    """
+    if keys.size <= _SORT_CHUNK_BITS:
+        order = keys.argsort(kind="stable")
+        return CellIndex(keys[order], bits[order])
+    starts = range(0, keys.size, _SORT_CHUNK_BITS)
+    if keys.dtype.itemsize <= 2:
+        # bincount widens its input to int64, so the counts are summed chunk by chunk.
+        values, bins = None, int(keys.max()) + 1
+        counts = sum(np.bincount(keys[a : a + _SORT_CHUNK_BITS], minlength=bins) for a in starts)
+        labels = np.arange(bins, dtype=keys.dtype).repeat(counts)
+    else:
+        labels = np.sort(keys)
+        firsts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+        values, counts = labels[firsts], np.diff(np.r_[firsts, labels.size])
+    next_slot = counts.cumsum() - counts
+    out = np.empty_like(bits)
+    for a in starts:
+        chunk = keys[a : a + _SORT_CHUNK_BITS]
+        ids = chunk if values is None else values.searchsorted(chunk)
+        chunk_counts = np.bincount(ids, minlength=counts.size)
+        # The sorted chunk's run of each key goes to that key's next free slots.
+        shift = next_slot - (chunk_counts.cumsum() - chunk_counts)
+        out[shift.repeat(chunk_counts) + np.arange(chunk.size)] = bits[a : a + chunk.size][ids.argsort(kind="stable")]
+        next_slot += chunk_counts
+    return CellIndex(labels, out)
 
 
 @dataclass(frozen=True)
@@ -107,11 +139,11 @@ class PlacementRealization:
 
     @cached_property
     def _cells(self) -> tuple[CellIndex, ...]:
-        out = []
-        for labels, bits in zip(self.bit_labels, self.file_bits):
-            keys, order = _label_order(labels, self.cfg)
-            out.append(CellIndex(keys[order], bits[order]))
-        return tuple(out)
+        key_type = _label_type(self.cfg)
+        return tuple(
+            _cell_index(labels.astype(key_type, copy=False), bits)
+            for labels, bits in zip(self.bit_labels, self.file_bits)
+        )
 
     def cell_indices(self, file_id: int) -> CellIndex:
         """One file's labels and bits in stable label order; each cell is one contiguous range."""

@@ -262,6 +262,15 @@ def test_demand_with_empty_token_exits_2(capsys, demand):
     assert "demand" in err
 
 
+def test_simulate_negative_seed_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+        "--file-bits", "64", "--seed", "-1",
+    )
+    assert code == 2
+    assert out == "" and err == "error: --seed must be a non-negative integer: -1\n"
+
+
 def test_simulate_unallocatable_file_size_exits_2(capsys):
     # Files of 10**15 bits exceed a 47-bit address space, so the allocation
     # fails at once whatever the memory overcommit policy.

@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fogndt.dof import per_user_dof_default
 from fogndt.model import DemandVector, GroupIndex, config_from_dict
 from fogndt.oracle import DecodeFailure, execute_schedule
 from fogndt.placement import PlacementRealization, pack_label, sample_placement
 from fogndt.scheduler import build_schedule
 from conftest import make_cfg
+from reference_oracle import reference_execute_schedule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -174,6 +178,43 @@ def test_coded_bit_ratio_tracks_min_rule():
     assert abs(ratio - 1 / 2) < 0.02
 
 
+def _increasing_dof(m, j, cfg):
+    # Rewards wider cooperation, so some groups split among several cooperation sets.
+    return 0.5 + 0.5 * j / cfg.num_ens
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_array_oracle_matches_the_reference_loop(data):
+    nt, nr = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    nfiles = data.draw(st.integers(nr, nr + 2))
+    mus = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+    cfg = make_cfg(nt, nr, nfiles, data.draw(mus), data.draw(mus), data.draw(st.sampled_from([0.01, 1.0, 100.0])))
+    if data.draw(st.booleans()):
+        demand = DemandVector(tuple(data.draw(st.permutations(range(1, nfiles + 1)))[:nr]))
+    else:
+        demand = DemandVector(tuple(data.draw(st.lists(st.integers(1, nfiles), min_size=nr, max_size=nr))))
+    size = data.draw(st.integers(1, 3000))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if data.draw(st.booleans()):
+        placement = sample_placement(cfg, size, seed)
+    else:
+        # Hand-built uint32 labels, drawn from a few labels or from all of
+        # them, whatever the cache fractions allow.
+        rng = np.random.default_rng(seed)
+        top = 1 << (nt + nr)
+        palette = rng.integers(0, top, data.draw(st.sampled_from([1, 3, top])))
+        labels = palette[rng.integers(0, palette.size, (nfiles, size))].astype(np.uint32)
+        bits = rng.integers(0, 2, (nfiles, size), dtype=np.uint8)
+        placement = PlacementRealization(cfg, size, None, labels, bits)
+    schedule = build_schedule(cfg, demand, dof=data.draw(st.sampled_from([per_user_dof_default, _increasing_dof])))
+    record = data.draw(st.booleans())
+    got = execute_schedule(placement, demand, schedule, record)
+    want = reference_execute_schedule(placement, demand, schedule, record)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got == want
+
+
 def _load_micro_fixture():
     doc = json.loads((FIXTURES / "micro_2x2.json").read_text(encoding="utf-8"))
     cfg = config_from_dict(doc["config"])
@@ -244,13 +285,26 @@ def test_golden_micro_loads_match_hand_computation():
 # Fault injection: the oracle reads the plan's own structure, so a wrong plan
 # must surface as a decode failure.  At this 3x2 shape the increasing DoF
 # gives group (1, 1) coded fronthaul at i = 1, group (0, 0) naive fronthaul
-# at full cooperation and group (0, 1) no fronthaul at i = 0.
-def _faulty_run(edit_group, edit):
-    cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
-    schedule = build_schedule(cfg, dof=lambda m, j, c: 0.5 + 0.5 * j / c.num_ens)
+# at full cooperation and group (0, 1) no fronthaul at i = 0.  Each edited
+# plan runs through the array oracle and the reference loop, which must fail
+# alike or report alike.
+def _faulty_run(edit_group, edit, cfg=make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0), placement=None):
+    schedule = build_schedule(cfg, dof=_increasing_dof)
     plan = schedule.groups[edit_group]
     edit(plan)
-    return execute_schedule(sample_placement(cfg, 4000, seed=5), schedule.demand, schedule)
+    placement = sample_placement(cfg, 4000, seed=5) if placement is None else placement
+    try:
+        want = reference_execute_schedule(placement, schedule.demand, schedule)
+    except DecodeFailure as failure:
+        with pytest.raises(DecodeFailure) as err:
+            execute_schedule(placement, schedule.demand, schedule)
+        assert (err.value.node, err.value.message_key, err.value.missing) == (
+            failure.node, failure.message_key, failure.missing
+        )
+        raise err.value
+    got = execute_schedule(placement, schedule.demand, schedule)
+    assert got == want
+    return got
 
 
 def _edit_transmissions(change):
@@ -277,6 +331,20 @@ def test_dropped_transmission_fails_at_an_edge_node(group):
     assert err.value.node[0] == "en"
 
 
+def test_node_outside_a_payload_decodes_nothing_from_it():
+    # At this 4x2 shape group (1, 2) is coded at i = 2: the cooperation set of
+    # all four edge nodes gets one payload per 3-subset d, and a node outside
+    # d caches none of its three pieces.  Without the payload for d = (1, 2, 3),
+    # edge node 3 never learns sub-message (1, 2), though it is unknown to it
+    # in the payload for (1, 2, 4).
+    cfg = make_cfg(nt=4, nr=2, mu_t=0.5, mu_r=0.25, r=4.0)
+    plan = build_schedule(cfg, dof=_increasing_dof).groups[GroupIndex(1, 2)]
+    assert plan.fronthaul[0].cache_sets == ((1, 2), (1, 3), (2, 3))
+    with pytest.raises(DecodeFailure) as err:
+        _faulty_run(GroupIndex(1, 2), _edit_transmissions(lambda txs: tuple(txs[1:])), cfg)
+    assert err.value.node == ("en", 3) and err.value.missing == (1, 2)
+
+
 def test_dropped_message_leaves_its_user_undecoded():
     def drop_first(plan):
         assert plan.chosen_i == 0 and plan.messages[0].ue_group == (1,)
@@ -284,3 +352,37 @@ def test_dropped_message_leaves_its_user_undecoded():
 
     report = _faulty_run(GroupIndex(0, 1), drop_first)
     assert report.per_ue_success == (False, True)
+
+
+def test_a_cell_recovered_twice_counts_once():
+    # Both files hold two equal cells, cached at edge node 1 alone and at edge
+    # node 1 with user 2.  Group (0, 1) sends user 1 the first; replacing that
+    # message by group (1, 1)'s message to users 1 and 2 makes user 1 recover
+    # the second cell twice and the first never.
+    cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
+    cells = [pack_label((), (1,), cfg), pack_label((2,), (1,), cfg)]
+    labels = np.array([cells * 50] * 2, dtype=np.uint32)
+    placement = PlacementRealization(cfg, 100, None, labels, np.ones_like(labels, dtype=np.uint8))
+
+    def replace_first(plan):
+        assert plan.messages[0] == ((1,), (1,))
+        vars(plan)["messages"] = (((1, 2), (1,)), *plan.messages[1:])
+
+    report = _faulty_run(GroupIndex(0, 1), replace_first, cfg, placement)
+    assert report.per_ue_success == (False, True)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda msgs: (msgs[0], *msgs), "a plan lists a sub-message twice"),
+        (lambda msgs: (((3,), (1,)), *msgs[1:]), "a message names a node outside the network"),
+    ],
+)
+def test_malformed_messages_are_refused(edit, message):
+    cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
+    schedule = build_schedule(cfg)
+    plan = schedule.groups[GroupIndex(0, 1)]
+    vars(plan)["messages"] = edit(plan.messages)
+    with pytest.raises(ValueError, match=message):
+        execute_schedule(sample_placement(cfg, 400, seed=5), schedule.demand, schedule)
