@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import DemandVector, GroupIndex
 from .placement import PlacementRealization
-from .scheduler import CODED_MULTICAST, DeliverySchedule
+from .scheduler import CODED_MULTICAST, DeliverySchedule, fronthaul_payloads
 
 
 class DecodeFailure(Exception):
@@ -160,6 +160,15 @@ def _segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _find(sorted_keys: np.ndarray, found: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``found[j]`` for each key equal to ``sorted_keys[j]``, -1 for any other key.
+
+    ``sorted_keys`` ascends and ends in a sentinel above every key.
+    """
+    at = sorted_keys.searchsorted(keys)
+    return np.where(sorted_keys[at] == keys, found[at], -1)
+
+
 def _xor_ranges(out: np.ndarray, sources, runs: list[int], dest, start, size) -> None:
     """``out[d : d + z] ^= source[s : s + z]`` for every range ``(d, s, z)``, where ranges
     ``runs[i]`` to ``runs[i + 1]`` read ``sources[i]``; ``out`` and the sources hold 0 or 1.
@@ -272,7 +281,7 @@ def execute_schedule(
     msg_at = length.cumsum() - length
     group_at = _starts(length)[msg_first]
     naive_fh = np.diff(group_at)
-    group_m = np.array([g.m for g in groups], dtype=np.int64)
+    group_m, group_n = np.array(groups, dtype=np.int64).reshape(-1, 2).T
     padding_total = int(((group_m + 1) * naive_fh).sum()) - int(count.sum())
     sub_msg = np.arange(count_m).repeat(ways)
     k = np.arange(sub_msg.size) - (ways.cumsum() - ways)[sub_msg]
@@ -290,15 +299,14 @@ def execute_schedule(
         raise ValueError("schedule too large for the oracle's sub-message keys")
     sub_key = ((sub_group * n_ids + ue_id[sub_msg]) * n_ids + sub_cache) * n_ids + sub_coop
     key_order = sub_key.argsort(kind="stable")
-    sorted_keys = np.append(sub_key[key_order], never)
+    sorted_keys, key_sub = np.append(sub_key[key_order], never), np.append(key_order, -1)
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise ValueError("a plan lists a sub-message twice")
     tx_of = np.arange(count_t).repeat(pieces)
     tx_group = np.arange(len(plans)).repeat(tx_counts)
     position = np.arange(tx_of.size) - (pieces.cumsum() - pieces)[tx_of]
     piece_key = ((tx_group * n_ids + tx_ue)[tx_of] * n_ids + piece_cache) * n_ids + tx_coop[tx_of]
-    at = sorted_keys.searchsorted(piece_key)
-    piece_sub = np.where(sorted_keys[at] == piece_key, np.append(key_order, -1)[at], -1)
+    piece_sub = _find(sorted_keys, key_sub, piece_key)
     sent = (piece_sub >= 0).nonzero()[0]
     piece_size = np.zeros(tx_of.size, dtype=np.int64)
     piece_size[sent] = sub_size[piece_sub[sent]]
@@ -341,24 +349,29 @@ def execute_schedule(
         raise DecodeFailure(("en", lowest.bit_length()), (ue_groups[j], caches[j], coop_lists[j][k[s]]), caches[j])
 
     # The coded-multicast cost of the same sub-messages, for groups sent
-    # otherwise (0 at n = 0): a payload XORs the n-subsets of one
-    # (n+1)-subset d of the cooperation set and costs its longest
-    # sub-message.  A sub-message enters the payloads d = c + {p}, for its
-    # cache set c and each p of its cooperation set outside c.
+    # otherwise: each user group and cooperation set of the group gets the
+    # payloads fronthaul_payloads lists in coded mode (none at n = 0), and
+    # each payload costs its longest sub-message.
     naive = np.array([plan.mode != CODED_MULTICAST for plan in plans], dtype=bool)
     coded_fh = np.where(naive, 0, group_fh)
-    naive &= np.array([g.n > 0 for g in groups], dtype=bool)
-    cache_mask = masks[sub_cache]
-    outside = np.where(naive[sub_group], masks[sub_coop] & ~cache_mask, 0)
-    s, p = ((outside[:, None] >> np.arange(nt)) & 1).nonzero()
-    if s.size:
-        pair = (sub_group[s] * n_ids + ue_id[sub_msg[s]]) * n_ids + sub_coop[s]
-        d = cache_mask[s] | (1 << p)
-        by_payload = np.lexsort((d, pair))
-        pair, d = pair[by_payload], d[by_payload]
-        firsts = np.concatenate(([0], ((pair[1:] != pair[:-1]) | (d[1:] != d[:-1])).nonzero()[0] + 1))
-        cost = np.maximum.reduceat(sub_size[s[by_payload]], firsts)
-        coded_fh += np.bincount(pair[firsts] // n_ids**2, weights=cost, minlength=len(plans)).astype(np.int64)
+    # Deduplicated through the stable argsort used above: np.unique imports
+    # numpy.ma and np.sort pages in another sort, together 1.7 MB of peak
+    # RSS on a 5x5 simulate.
+    pair = ((sub_group * n_ids + ue_id[sub_msg]) * n_ids + sub_coop)[naive[sub_group]]
+    pair = pair[pair.argsort(kind="stable")]
+    pair = pair[np.diff(pair, prepend=-1) != 0]
+    pair_group, pair_coop = pair // n_ids**2, pair % n_ids
+    pair_n = group_n[pair_group]
+    tuples = list(ids)
+    for coop, n in set(zip(pair_coop.tolist(), pair_n.tolist())):
+        payloads = fronthaul_payloads(tuples[coop], n, CODED_MULTICAST)
+        these = ((pair_coop == coop) & (pair_n == n)).nonzero()[0]
+        cache = np.array([ids.get(c, -1) for sets in payloads for c in sets], dtype=np.int64)
+        keys = ((pair[these] // n_ids)[:, None] * n_ids + cache) * n_ids + coop
+        subs = _find(sorted_keys, key_sub, np.where(cache < 0, -1, keys).ravel())
+        sizes = np.where(subs < 0, 0, sub_size[subs])
+        cost = _segment_max(sizes, np.tile(_lengths(payloads, len(payloads)), these.size))
+        coded_fh += np.bincount(pair_group[these].repeat(len(payloads)), weights=cost, minlength=len(plans)).astype(np.int64)
 
     # Access hop: every sub-message slice is one multicast payload; its users
     # cache every constituent but their own, so each recovers its own.

@@ -26,9 +26,6 @@ _MAX_PACKED_NODES = 30
 # Bits per block of label draws: bounds sampling scratch to a few MB per side.
 _LABEL_CHUNK_BITS = 1 << 16
 
-# Bits per chunk of the cell index's counting sort: bounds its argsort scratch to a few MB.
-_SORT_CHUNK_BITS = 1 << 19
-
 REPLAY_FORMAT = "fogndt-placement/1"
 
 
@@ -85,39 +82,14 @@ def _label_order(labels: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np
     return keys, np.argsort(keys, kind="stable")
 
 
-def _cell_index(keys: np.ndarray, bits: np.ndarray) -> CellIndex:
-    """``keys`` sorted and ``bits`` in stable key order.
+def _cell_index(labels: np.ndarray, bits: np.ndarray, cfg: NetworkConfig) -> CellIndex:
+    """One file's labels and bits in stable label order.
 
-    A file of more than one chunk is placed by a counting sort: each key's
-    run starts where the counts of the smaller keys end, and each chunk goes
-    to its keys' next free slots through a chunk-sized stable argsort, so no
-    file-sized position array is built.  Keys of up to 16 bits count
-    themselves; wider ones are counted by their rank among the distinct keys.
+    Built in its own frame, so that a file's int64 argsort output is freed
+    before the next file's is made.
     """
-    if keys.size <= _SORT_CHUNK_BITS:
-        order = keys.argsort(kind="stable")
-        return CellIndex(keys[order], bits[order])
-    starts = range(0, keys.size, _SORT_CHUNK_BITS)
-    if keys.dtype.itemsize <= 2:
-        # bincount widens its input to int64, so the counts are summed chunk by chunk.
-        values, bins = None, int(keys.max()) + 1
-        counts = sum(np.bincount(keys[a : a + _SORT_CHUNK_BITS], minlength=bins) for a in starts)
-        labels = np.arange(bins, dtype=keys.dtype).repeat(counts)
-    else:
-        labels = np.sort(keys)
-        firsts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
-        values, counts = labels[firsts], np.diff(np.r_[firsts, labels.size])
-    next_slot = counts.cumsum() - counts
-    out = np.empty_like(bits)
-    for a in starts:
-        chunk = keys[a : a + _SORT_CHUNK_BITS]
-        ids = chunk if values is None else values.searchsorted(chunk)
-        chunk_counts = np.bincount(ids, minlength=counts.size)
-        # The sorted chunk's run of each key goes to that key's next free slots.
-        shift = next_slot - (chunk_counts.cumsum() - chunk_counts)
-        out[shift.repeat(chunk_counts) + np.arange(chunk.size)] = bits[a : a + chunk.size][ids.argsort(kind="stable")]
-        next_slot += chunk_counts
-    return CellIndex(labels, out)
+    keys, order = _label_order(labels, cfg)
+    return CellIndex(keys[order], bits[order])
 
 
 @dataclass(frozen=True)
@@ -139,11 +111,7 @@ class PlacementRealization:
 
     @cached_property
     def _cells(self) -> tuple[CellIndex, ...]:
-        key_type = _label_type(self.cfg)
-        return tuple(
-            _cell_index(labels.astype(key_type, copy=False), bits)
-            for labels, bits in zip(self.bit_labels, self.file_bits)
-        )
+        return tuple(_cell_index(labels, bits, self.cfg) for labels, bits in zip(self.bit_labels, self.file_bits))
 
     def cell_indices(self, file_id: int) -> CellIndex:
         """One file's labels and bits in stable label order; each cell is one contiguous range."""

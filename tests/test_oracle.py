@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -13,7 +14,7 @@ from fogndt.dof import per_user_dof_default
 from fogndt.model import DemandVector, GroupIndex, config_from_dict
 from fogndt.oracle import DecodeFailure, execute_schedule
 from fogndt.placement import PlacementRealization, pack_label, sample_placement
-from fogndt.scheduler import build_schedule
+from fogndt.scheduler import NAIVE_MULTICAST, build_schedule
 from conftest import make_cfg
 from reference_oracle import reference_execute_schedule
 
@@ -370,6 +371,24 @@ def test_a_cell_recovered_twice_counts_once():
 
     report = _faulty_run(GroupIndex(0, 1), replace_first, cfg, placement)
     assert report.per_ue_success == (False, True)
+
+
+def test_coded_cost_counts_missing_sub_messages_as_empty():
+    # Group (0, 1) sent naively at i = 2, alone in the schedule, without the
+    # sub-messages of (2,) for user 1 and of (3,) for both users.  Its coded
+    # payloads still name them: (3,) is a cache set no plan holds, and (2,)
+    # one that user 1 lacks.  Each costs nothing, as in the reference.
+    cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
+    schedule = build_schedule(cfg)
+    plan = dataclasses.replace(schedule.groups[GroupIndex(0, 1)], chosen_i=2, mode=NAIVE_MULTICAST)
+    dropped = {((1,), (2,)), ((1,), (3,)), ((2,), (3,))}
+    vars(plan)["messages"] = tuple(msg for msg in plan.messages if msg not in dropped)
+    vars(plan)["fronthaul"] = tuple(tx for tx in plan.fronthaul if (tx.ue_group, *tx.cache_sets) not in dropped)
+    vars(schedule)["groups"] = {plan.index: plan}
+    placement = sample_placement(cfg, 4000, seed=5)
+    got = execute_schedule(placement, schedule.demand, schedule)
+    assert got == reference_execute_schedule(placement, schedule.demand, schedule)
+    assert got.per_group[plan.index].coded_fronthaul_bits > 0
 
 
 @pytest.mark.parametrize(

@@ -4,17 +4,13 @@ import copy
 import itertools
 import math
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogndt import placement as placement_module
 from fogndt.placement import (
     _LABEL_CHUNK_BITS,
-    _SORT_CHUNK_BITS,
     PlacementRealization,
     fractional_size,
     pack_label,
@@ -24,6 +20,7 @@ from fogndt.placement import (
     unpack_label,
 )
 from conftest import make_cfg
+from reference_oracle import _span
 
 
 def test_fraction_trivial_cases():
@@ -103,12 +100,6 @@ def test_sample_rejects_bad_sizes():
 
 def _subsets(ids):
     return [c for k in range(len(ids) + 1) for c in itertools.combinations(ids, k)]
-
-
-def _span(index, label):
-    """One label's range of the cell index, by binary search on its sorted labels."""
-    key = index.labels.dtype.type(label)
-    return slice(index.labels.searchsorted(key), index.labels.searchsorted(key, "right"))
 
 
 def _all_cells(p, file_id):
@@ -398,38 +389,6 @@ def test_cell_index_matches_reference_partition(shape, data):
             assert (index.labels[span] == label).all()
             spans += span.stop - span.start
         assert spans == size
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dtype=st.sampled_from([np.uint8, np.uint16, np.uint32]),
-    chunk=st.integers(1, 64),
-    size=st.integers(1, 400),
-    distinct=st.sampled_from([1, 3, 1000]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_counting_sort_matches_a_stable_argsort(dtype, chunk, size, distinct, seed):
-    # Tiny chunks, so that most files take many: keys of each width, from one
-    # key to keys spread over the whole range.
-    rng = np.random.default_rng(seed)
-    top = np.iinfo(dtype).max
-    keys = rng.integers(0, top, distinct, endpoint=True)[rng.integers(0, distinct, size)].astype(dtype)
-    bits = (np.arange(size) % 251).astype(np.uint8)
-    order = np.argsort(keys, kind="stable")
-    with mock.patch.object(placement_module, "_SORT_CHUNK_BITS", chunk):
-        index = placement_module._cell_index(keys, bits)
-    assert index.labels.dtype == dtype
-    assert np.array_equal(index.labels, keys[order]) and np.array_equal(index.bits, bits[order])
-
-
-def test_cell_index_of_files_longer_than_a_chunk():
-    cfg = make_cfg(nt=2, nr=2, mu_t=0.3, mu_r=0.6)
-    placement = sample_placement(cfg, 2 * _SORT_CHUNK_BITS + 17, seed=8)
-    for f in range(cfg.num_files):
-        order = np.argsort(placement.bit_labels[f], kind="stable")
-        index = placement.cell_indices(f + 1)
-        assert np.array_equal(index.labels, placement.bit_labels[f][order])
-        assert np.array_equal(index.bits, placement.file_bits[f][order])
 
 
 def test_cell_index_holds_no_bit_positions():
