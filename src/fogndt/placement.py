@@ -11,8 +11,11 @@ rather than per realization.
 from __future__ import annotations
 
 import itertools
+import operator
+import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -23,8 +26,9 @@ from .model import NetworkConfig, config_from_dict, config_to_dict
 # for users, the next num_ens bits for edge nodes.
 _MAX_PACKED_NODES = 30
 
-# Bits per block of label draws: bounds sampling scratch to a few MB per side.
-_LABEL_CHUNK_BITS = 1 << 16
+# Bits per block of label and content draws: bounds each sampling thread's
+# scratch to about a MB per side.
+_LABEL_CHUNK_BITS = 1 << 15
 
 REPLAY_FORMAT = "fogndt-placement/1"
 
@@ -120,43 +124,142 @@ class PlacementRealization:
         return self._cells[file_id - 1]
 
 
-def sample_placement(cfg: NetworkConfig, file_size_bits: int, seed: int) -> PlacementRealization:
+def sample_placement(
+    cfg: NetworkConfig, file_size_bits: int, seed: int, *, _workers: int | None = None
+) -> PlacementRealization:
     """Draw one placement realization, deterministic in (cfg, file_size_bits, seed).
 
     File contents and labels come from two independent streams spawned from
     the seed, so a realization replayed from its serialized cell layout can
-    regenerate identical file contents without re-drawing labels.
+    regenerate identical file contents without re-drawing labels.  Both
+    streams are read by position, so the draw is split over the CPUs the
+    process may run on, at most one per ``_LABEL_CHUNK_BITS`` bits, without
+    changing a byte.  ``_workers`` sets the split, for tests.
     """
-    if file_size_bits < 1:
-        raise ValueError(f"file_size_bits must be at least 1: {file_size_bits}")
+    file_size_bits = _exact_int(file_size_bits, "file_size_bits", "a positive integer", 1)
+    seed = _exact_int(seed, "seed", "a non-negative integer", 0)
     if cfg.num_ues + cfg.num_ens > _MAX_PACKED_NODES:
         raise ValueError(
             f"at most {_MAX_PACKED_NODES} nodes supported, got {cfg.num_ues + cfg.num_ens}"
         )
     content_ss, label_ss = np.random.SeedSequence(seed).spawn(2)
-    label_type = _label_type(cfg)
     try:
-        file_bits = np.random.default_rng(content_ss).integers(
-            0, 2, size=(cfg.num_files, file_size_bits), dtype=np.uint8
-        )
-        labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
+        file_bits = np.empty((cfg.num_files, file_size_bits), dtype=np.uint8)
+        labels = np.zeros((cfg.num_files, file_size_bits), dtype=_label_type(cfg))
     except MemoryError:
         raise ValueError(f"file_size_bits too large to allocate: {file_size_bits}") from None
-    label_rng = np.random.default_rng(label_ss)
-    sides = ((0, cfg.num_ues, cfg.mu_r), (cfg.num_ues, cfg.num_ens, cfg.mu_t))
-    scratch = np.empty(min(file_size_bits, _LABEL_CHUNK_BITS) * max(cfg.num_ues, cfg.num_ens))
-    for row in labels:
-        # Per file: every bit's user doubles, then every bit's edge-node
-        # doubles, bit-major.  Consecutive chunks read the same stream as one
-        # whole-file draw, so the chunk size does not change the labels.
-        for shift, nodes, mu in sides:
-            for a in range(0, file_size_bits, _LABEL_CHUNK_BITS):
-                chunk = row[a : a + _LABEL_CHUNK_BITS]
+    total = labels.size
+    workers = _workers or max(1, min(_cpu_count(), total // _LABEL_CHUNK_BITS))
+    # Shares of the flat (file, bit) space start at multiples of 8 bits,
+    # where the content stream can be entered.
+    cuts = [total * w // workers // 8 * 8 for w in range(workers)] + [total]
+    _run_joined(
+        [
+            partial(_draw_share, cfg, content_ss, label_ss, labels, file_bits, start, stop)
+            for start, stop in zip(cuts, cuts[1:])
+        ]
+    )
+    return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
+
+
+def _draw_share(
+    cfg: NetworkConfig,
+    content_ss: np.random.SeedSequence,
+    label_ss: np.random.SeedSequence,
+    labels: np.ndarray,
+    file_bits: np.ndarray,
+    start: int,
+    stop: int,
+) -> None:
+    """Contents and labels of the flat (file, bit) positions [start, stop).
+
+    Both sides of a bit are drawn in one share, since both OR into its label.
+    """
+    _draw_contents(content_ss, start, file_bits.reshape(-1)[start:stop])
+    size, label_type = labels.shape[1], labels.dtype
+    per_file = size * (cfg.num_ues + cfg.num_ens)
+    bitgen = np.random.PCG64(label_ss)
+    rng = np.random.Generator(bitgen)
+    position = 0
+    scratch = np.empty(min(stop - start, _LABEL_CHUNK_BITS) * max(cfg.num_ues, cfg.num_ens))
+    for f in range(start // size, -(-stop // size)):
+        row = labels[f]
+        lo, hi = max(start - f * size, 0), min(stop - f * size, size)
+        # Per file, the label stream holds every bit's user doubles, then every
+        # bit's edge-node doubles, bit-major; each side is entered at bit lo.
+        sides = (
+            (0, cfg.num_ues, cfg.mu_r, f * per_file),
+            (cfg.num_ues, cfg.num_ens, cfg.mu_t, f * per_file + size * cfg.num_ues),
+        )
+        for shift, nodes, mu, offset in sides:
+            bitgen.advance(offset + lo * nodes - position)
+            position = offset + hi * nodes
+            for a in range(lo, hi, _LABEL_CHUNK_BITS):
+                chunk = row[a : min(a + _LABEL_CHUNK_BITS, hi)]
                 draws = scratch[: chunk.size * nodes].reshape(chunk.size, nodes)
-                hits = label_rng.random(out=draws) < mu
+                hits = rng.random(out=draws) < mu
                 for k in range(nodes):
                     chunk |= hits[:, k].astype(label_type) << label_type.type(shift + k)
-    return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
+
+
+def _draw_contents(content_ss: np.random.SeedSequence, start: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the content bits at flat positions ``start``.., ``start`` a multiple of 8.
+
+    Content bit i is the top bit of byte i of the content stream's raw 64-bit
+    outputs read little-endian, which is what ``Generator.integers(0, 2,
+    dtype=np.uint8)`` draws; unlike that call, it can be entered at any
+    multiple of 8 bits.
+    """
+    bitgen = np.random.PCG64(content_ss)
+    bitgen.advance(start // 8)
+    for a in range(0, out.size, _LABEL_CHUNK_BITS):
+        piece = out[a : a + _LABEL_CHUNK_BITS]
+        raw = bitgen.random_raw(-(-piece.size // 8)).astype("<u8", copy=False).view(np.uint8)
+        np.right_shift(raw[: piece.size], 7, out=piece)
+
+
+def _run_joined(tasks: list) -> None:
+    """Run the first task in this thread and each other one in its own thread.
+
+    Every thread is joined before the first failure, in task order, is raised.
+    """
+    errors: list[BaseException | None] = [None] * len(tasks)
+
+    def run(k: int) -> None:
+        try:
+            tasks[k]()
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(tasks))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _exact_int(value, name: str, rule: str, minimum: int) -> int:
+    """``value`` as a Python int: no bool, taken by ``operator.index``, at least ``minimum``."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= minimum:
+                return number
+    raise ValueError(f"{name} must be {rule}: {value!r}")
 
 
 def _index_ranges(idx: np.ndarray) -> list[list[int]]:
@@ -221,12 +324,10 @@ def _placement_from_replay(doc: dict) -> PlacementRealization:
     if doc.get("format") != REPLAY_FORMAT:
         raise ValueError(f"unsupported replay format: {doc.get('format')!r}")
     cfg = config_from_dict(doc["config"])
-    size = doc["file_size_bits"]
-    if not type(size) is int or size < 1:
-        raise ValueError(f"file_size_bits must be a positive integer: {size!r}")
+    size = _exact_int(doc["file_size_bits"], "file_size_bits", "a positive integer", 1)
     seed = doc["seed"]
-    if seed is not None and not (type(seed) is int and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer or null: {seed!r}")
+    if seed is not None:
+        seed = _exact_int(seed, "seed", "a non-negative integer or null", 0)
     try:
         labels = np.empty((cfg.num_files, size), dtype=_label_type(cfg))
     except MemoryError:
@@ -243,9 +344,8 @@ def _placement_from_replay(doc: dict) -> PlacementRealization:
         raise ValueError(f"replay has no entry for files {missing}")
     if seed is not None:
         content_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        file_bits = np.random.default_rng(content_ss).integers(
-            0, 2, size=(cfg.num_files, size), dtype=np.uint8
-        )
+        file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
+        _draw_contents(content_ss, 0, file_bits.reshape(-1))
     else:
         blobs = doc["file_bits_hex"]
         if len(blobs) != cfg.num_files:

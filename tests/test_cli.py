@@ -27,14 +27,32 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _run_fresh(*argv, module="fogndt"):
-    """(exit code, stdout, stderr) of ``python -m <module> argv`` in a new process."""
+def _python_fresh(*args):
+    """(exit code, stdout, stderr) of ``python args`` in a new process."""
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
-    proc = subprocess.run(
-        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _run_fresh(*argv, module="fogndt"):
+    """(exit code, stdout, stderr) of ``python -m <module> argv`` in a new process."""
+    return _python_fresh("-m", module, *argv)
+
+
+def test_cli_loads_no_heavy_module():
+    # Each of these costs every command set-up time or peak RSS; numpy.ma
+    # alone is 1.4 MB.  Checked after the import and after a threaded simulate.
+    script = """
+import os, sys
+import fogndt.cli
+heavy = ("concurrent.futures", "logging", "numpy.ma")
+print(*[m for m in heavy if m in sys.modules])
+fogndt.cli.main(["simulate", "--nt", "3", "--nr", "3", "--mut", "0.5", "--mur", "0.5", "--r", "10",
+                 "--file-bits", "100000", "--out", os.devnull])
+print(*[m for m in heavy if m in sys.modules])
+"""
+    assert _python_fresh("-c", script) == (0, "\n\n", "")
 
 
 def test_bounds_json(capsys):

@@ -2,15 +2,21 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogndt import placement as placement_mod
 from fogndt.placement import (
     _LABEL_CHUNK_BITS,
+    _draw_contents,
     PlacementRealization,
     fractional_size,
     pack_label,
@@ -400,19 +406,155 @@ def test_cell_index_holds_no_bit_positions():
             assert sum(a.nbytes for a in index) == 10_000 * (index.labels.itemsize + 1)
 
 
+def _serial_reference(cfg, size, seed):
+    """Labels and contents of one whole-file label draw per file and one contents draw."""
+    content_ss, label_ss = np.random.SeedSequence(seed).spawn(2)
+    shape = (cfg.num_files, size)
+    bits = np.random.default_rng(content_ss).integers(0, 2, size=shape, dtype=np.uint8)
+    rng = np.random.default_rng(label_ss)
+    ue_weights = np.uint32(1) << np.arange(cfg.num_ues, dtype=np.uint32)
+    en_weights = (np.uint32(1) << np.arange(cfg.num_ens, dtype=np.uint32)) << np.uint32(cfg.num_ues)
+    labels = np.empty((cfg.num_files, size), dtype=np.uint32)
+    for f in range(cfg.num_files):
+        ue_draw = rng.random((size, cfg.num_ues)) < cfg.mu_r
+        en_draw = rng.random((size, cfg.num_ens)) < cfg.mu_t
+        labels[f] = ue_draw.astype(np.uint32) @ ue_weights + en_draw.astype(np.uint32) @ en_weights
+    return labels, bits
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
 def test_chunked_labels_match_one_whole_file_draw(shape):
     cfg = make_cfg(nt=shape[0], nr=shape[1], mu_t=0.3, mu_r=0.6)
     size = 3 * _LABEL_CHUNK_BITS + 17
-    got = sample_placement(cfg, size, seed=21).bit_labels
-    assert got.dtype == np.uint8  # at most 8 nodes
-    # Reference: the unchunked formula, every bit's draws at once per file.
-    _, label_ss = np.random.SeedSequence(21).spawn(2)
-    rng = np.random.default_rng(label_ss)
-    ue_weights = np.uint32(1) << np.arange(cfg.num_ues, dtype=np.uint32)
-    en_weights = (np.uint32(1) << np.arange(cfg.num_ens, dtype=np.uint32)) << np.uint32(cfg.num_ues)
-    for f in range(cfg.num_files):
-        ue_draw = rng.random((size, cfg.num_ues)) < cfg.mu_r
-        en_draw = rng.random((size, cfg.num_ens)) < cfg.mu_t
-        want = ue_draw.astype(np.uint32) @ ue_weights + en_draw.astype(np.uint32) @ en_weights
-        assert np.array_equal(got[f], want)
+    labels, bits = _serial_reference(cfg, size, 21)
+    for workers in (1, 3):
+        got = sample_placement(cfg, size, seed=21, _workers=workers)
+        assert got.bit_labels.dtype == np.uint8  # at most 8 nodes
+        assert np.array_equal(got.bit_labels, labels)
+        assert np.array_equal(got.file_bits, bits)
+
+
+_MUS = st.sampled_from([0.0, 0.3, 0.6, 1.0])
+_SIZES = [1, 7, 8, 9, *(k * _LABEL_CHUNK_BITS + d for k in (1, 2) for d in (-1, 1))]
+
+
+# 4, 10 and 18 nodes: 8-, 16- and 32-bit labels.
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 2), (5, 5), (9, 9)]),
+    size=st.sampled_from(_SIZES),
+    workers=st.integers(1, 4),
+    mu_t=_MUS,
+    mu_r=_MUS,
+    seed=st.integers(0, 2**64),
+)
+def test_worker_count_changes_no_byte(shape, size, workers, mu_t, mu_r, seed):
+    cfg = make_cfg(nt=shape[0], nr=shape[1], mu_t=mu_t, mu_r=mu_r)
+    got = sample_placement(cfg, size, seed, _workers=workers)
+    labels, bits = _serial_reference(cfg, size, seed)
+    assert np.array_equal(got.bit_labels, labels)
+    assert np.array_equal(got.file_bits, bits)
+
+
+def test_more_workers_than_cores_under_fast_switching_match_the_serial_draw():
+    # Neighbouring shares write neighbouring label bytes; a lost OR would show.
+    cfg = make_cfg(nt=5, nr=5, mu_t=0.3, mu_r=0.6)
+    size = 4 * _LABEL_CHUNK_BITS + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_placement(cfg, size, 17, _workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    labels, bits = _serial_reference(cfg, size, 17)
+    assert np.array_equal(got.bit_labels, labels)
+    assert np.array_equal(got.file_bits, bits)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, _LABEL_CHUNK_BITS + 1])
+def test_contents_match_the_integers_draw(size):
+    cfg = make_cfg(nt=2, nr=3)
+    content_ss, _ = np.random.SeedSequence(9).spawn(2)
+    shape = (cfg.num_files, size)
+    want = np.random.default_rng(content_ss).integers(0, 2, size=shape, dtype=np.uint8)
+    placement = sample_placement(cfg, size, 9)
+    assert np.array_equal(placement.file_bits, want)
+    assert np.array_equal(placement_from_replay(placement_to_replay(placement)).file_bits, want)
+    # Entered at a multiple of 8 bits, the helper reads on where the whole draw does.
+    start = want.size // 16 * 8
+    rest = np.empty(want.size - start, dtype=np.uint8)
+    _draw_contents(content_ss, start, rest)
+    assert np.array_equal(rest, want.reshape(-1)[start:])
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_worker_failure_reaches_the_caller_after_every_join(monkeypatch, failing):
+    draw_share = placement_mod._draw_share
+    finished = []
+
+    def flaky(cfg, content_ss, label_ss, labels, file_bits, start, stop):
+        share = round(3 * start / labels.size)
+        if share == failing:
+            raise RuntimeError(f"share {share} failed")
+        if share != 0:
+            time.sleep(0.2)  # still drawing when the failure is stored
+        draw_share(cfg, content_ss, label_ss, labels, file_bits, start, stop)
+        finished.append(share)
+
+    monkeypatch.setattr(placement_mod, "_draw_share", flaky)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"share {failing} failed"):
+        sample_placement(make_cfg(), 2 * _LABEL_CHUNK_BITS, 1, _workers=3)
+    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    ("cpus", "size", "threads"),
+    [
+        (1, 4 * _LABEL_CHUNK_BITS, 0),
+        (8, _LABEL_CHUNK_BITS - 1, 0),
+        (8, _LABEL_CHUNK_BITS, 1),
+        (3, 4 * _LABEL_CHUNK_BITS, 2),
+    ],
+)
+def test_threads_follow_cpus_and_placement_size(monkeypatch, cpus, size, threads):
+    # Two files: one worker per CPU, but at most one per _LABEL_CHUNK_BITS bits.
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(placement_mod, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    cfg = make_cfg(nfiles=2)
+    got = sample_placement(cfg, size, 3)
+    assert len(started) == threads
+    assert np.array_equal(got.bit_labels, sample_placement(cfg, size, 3, _workers=1).bit_labels)
+
+
+@pytest.mark.parametrize("seed", [True, False, 5.0, "5", -1, None, np.float64(5), np.bool_(True)])
+def test_sample_refuses_a_seed_that_is_no_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer") as exc:
+        sample_placement(make_cfg(), 16, seed)
+    assert repr(seed) in str(exc.value)
+
+
+@pytest.mark.parametrize("size", [True, 16.0, "16", 0, None, np.float64(16)])
+def test_sample_refuses_a_size_that_is_no_integer(size):
+    with pytest.raises(ValueError, match="file_size_bits must be a positive integer") as exc:
+        sample_placement(make_cfg(), size, 1)
+    assert repr(size) in str(exc.value)
+
+
+def test_numpy_integer_seed_and_size_replay_through_json():
+    cfg = make_cfg(nfiles=2)
+    p = sample_placement(cfg, np.int64(300), np.uint32(5))
+    assert type(p.seed) is int and type(p.file_size_bits) is int
+    q = placement_from_replay(json.loads(json.dumps(placement_to_replay(p))))
+    ref = sample_placement(cfg, 300, 5)
+    assert (q.seed, q.file_size_bits) == (5, 300)
+    assert np.array_equal(q.bit_labels, ref.bit_labels)
+    assert np.array_equal(q.file_bits, ref.file_bits)
