@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass
 
 from .dof import DofProvider, per_user_dof_default
-from .model import ConfigError, NetworkConfig, config_to_dict
-from .scheduler import _group_terms, _overflow_error
+from .model import NetworkConfig, config_to_dict
+from .scheduler import _group_terms, _overflow_error, _row_table
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
 
@@ -33,21 +33,27 @@ class BoundsReport:
         }
 
     def to_csv_row(self) -> str:
+        """One CSV line; floats are written by ``float.__repr__``, as the JSON writers do,
+        so a numpy float in the config reads ``0.5`` and not ``np.float64(0.5)``."""
         cfg = self.cfg
-        fields = [
-            cfg.num_ens,
-            cfg.num_ues,
-            cfg.mu_t,
-            cfg.mu_r,
-            cfg.fronthaul_r,
-            self.tau_upper,
-            self.tau_lower,
-            self.gap,
-            self.argmax_l1,
-            self.argmax_l2,
-            self.limit_inf_r,
-        ]
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in fields)
+        return ",".join((
+            str(cfg.num_ens),
+            str(cfg.num_ues),
+            _csv_number(cfg.mu_t),
+            _csv_number(cfg.mu_r),
+            _csv_number(cfg.fronthaul_r),
+            float.__repr__(self.tau_upper),
+            float.__repr__(self.tau_lower),
+            float.__repr__(self.gap),
+            str(self.argmax_l1),
+            str(self.argmax_l2),
+            float.__repr__(self.limit_inf_r),
+        ))
+
+
+def _csv_number(v) -> str:
+    """A config number: an int as it is, any float by its shortest round-trip form."""
+    return float.__repr__(v) if isinstance(v, float) else str(v)
 
 
 def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
@@ -102,14 +108,10 @@ def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
-    nr, nt = cfg.num_ues, cfg.num_ens
-    mu_r = cfg.mu_r
+    nr, mu_r = cfg.num_ues, cfg.mu_r
     total = 0.0
-    try:
-        for m in range(nr):
-            total += math.comb(nr - 1, m) * mu_r ** m * (1.0 - mu_r) ** (nr - m) / dof(m, nt, cfg)
-    except OverflowError:
-        raise ConfigError("shape", f"n_t={nt}, n_r={nr}: binomial factors overflow a double") from None
+    for m, (c_limit, d_full, _groups) in enumerate(_row_table(dof, cfg.num_ens, nr)):
+        total += c_limit * mu_r ** m * (1.0 - mu_r) ** (nr - m) / d_full
     return total
 
 

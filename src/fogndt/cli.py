@@ -128,17 +128,22 @@ def _number_list(spec: str, flag: str) -> list[float]:
 def _parse_values(spec: str) -> list[float]:
     """Explicit 'a,b,c' list or 'lin:start:stop:count' / 'geom:start:stop:count' grid."""
     if spec.startswith(("lin:", "geom:")):
-        kind, start, stop, count = spec.split(":")
-        start, stop, count = float(start), float(stop), int(count)
+        try:
+            kind, start, stop, count = spec.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:
+            raise ValueError(
+                f"--values grid must be kind:start:stop:count with numeric ends and a whole count: {spec!r}"
+            ) from None
         if count < 1:
-            raise ValueError("grid count must be at least 1")
+            raise ValueError(f"--values grid count must be at least 1: {spec!r}")
         if count == 1:
             return [start]
         if kind == "lin":
             step = (stop - start) / (count - 1)
             return [start + k * step for k in range(count)]
         if start <= 0 or stop <= 0:
-            raise ValueError("geometric grids need positive endpoints")
+            raise ValueError(f"--values geometric grids need positive endpoints: {spec!r}")
         ratio = (stop / start) ** (1.0 / (count - 1))
         return [start * ratio ** k for k in range(count)]
     return _number_list(spec, "--values")

@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
-from .dof import DofProvider, per_user_dof_default
+from .dof import DofProvider, dof_rows, per_user_dof_default
 from .model import (
     ConfigError,
     DemandVector,
@@ -138,28 +138,45 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
     return tuple(transmissions)
 
 
-@cache
-def _row_table(nt: int, nr: int) -> tuple:
-    """Per m, one ``(group, n, c_access, rows)`` per n; ``rows`` holds ``(i, c_load, j)``
-    per admissible i, ascending.  The constant factor of each load is built here,
-    once per shape and in a fixed operand order; j = n + i - 1 indexes the DoF row.
+# Row tables kept at once.  A table belongs to one (provider, shape) pair, and callers may
+# make a provider per call (a counting wrapper, a closure per example), so the memo is bounded.
+_ROW_TABLES = 128
 
-    Each row turns its exact load factor into a double, and ``c_access`` is never
-    larger, so a shape whose factors exceed the double range fails here alone,
-    with a ConfigError.
+
+@lru_cache(maxsize=_ROW_TABLES)
+def _row_table(dof: DofProvider, nt: int, nr: int) -> tuple:
+    """Per m, ``(c_limit, d_full, groups)``: ``c_limit = C(n_r - 1, m)``, ``d_full = d(m, n_t)``
+    and one ``(group, n, c_access, rows)`` per n.  ``rows`` holds ``(i, c_load, d)``, with
+    ``d = d(m, n + i)``, per admissible i, ascending, except each i whose d is no larger than
+    a smaller kept i's: its load factor is no smaller either, and rounding is monotone, so
+    its total is never strictly smaller and the scan in ``_group_terms`` would not pick it.
+    The constant factor of each load is built here, once per shape and in a fixed operand
+    order.
+
+    The provider is called once per (m, j), through :func:`fogndt.dof.dof_rows`: a DoF
+    depends on the shape alone.  A value outside (0, 1] is a DofContractError, and a
+    provider that raises leaves no table behind.  The first row of each group is always
+    kept and turns the group's exact load factor into a double; ``c_access`` and
+    ``c_limit`` are never larger, so a shape whose factors exceed the double range fails
+    here alone, with a ConfigError.
     """
     table = []
-    for m in range(nr):
+    for m, dof_row in enumerate(dof_rows(dof, nt, nr)):
         groups = []
         for n in range(nt + 1):
             b_en = math.comb(nt, n)
             b_load = math.comb(nr, m + 1) * b_en
-            try:
-                rows = tuple((i, b_load * min(1.0, i / (n + 1)), n + i - 1) for i in cooperation_increments(n, nt))
-            except OverflowError:
-                raise ConfigError("shape", f"n_t={nt}, n_r={nr}: binomial factors overflow a double") from None
-            groups.append((GroupIndex(m, n), n, math.comb(nr - 1, m) * b_en, rows))
-        table.append(tuple(groups))
+            rows = []
+            for i in cooperation_increments(n, nt):
+                d = dof_row[n + i - 1]
+                if rows and d <= rows[-1][2]:
+                    continue
+                try:
+                    rows.append((i, b_load * min(1.0, i / (n + 1)), d))
+                except OverflowError:
+                    raise ConfigError("shape", f"n_t={nt}, n_r={nr}: binomial factors overflow a double") from None
+            groups.append((GroupIndex(m, n), n, math.comb(nr - 1, m) * b_en, tuple(rows)))
+        table.append((math.comb(nr - 1, m), dof_row[nt - 1], tuple(groups)))
     return tuple(table)
 
 
@@ -179,8 +196,7 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider):
     pow_qr = [(1.0 - mu_r) ** k for k in range(nr + 1)]
     pow_mt = [mu_t ** k for k in range(nt + 1)]
     pow_qt = [(1.0 - mu_t) ** k for k in range(nt + 1)]
-    for m, groups in enumerate(_row_table(nt, nr)):
-        dof_row = [dof(m, j, cfg) for j in range(1, nt + 1)]
+    for m, (_c_limit, _d_full, groups) in enumerate(_row_table(dof, nt, nr)):
         ue_part = pow_mr[m] * pow_qr[nr - m]
         for group, n, c_access, rows in groups:
             f = ue_part * pow_mt[n] * pow_qt[nt - n]
@@ -188,14 +204,14 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider):
                 continue
             access = c_access * f
             best = None
-            for i, c_load, j in rows:
+            for i, c_load, d in rows:
                 load = c_load * f
                 tau_f = load / r
-                tau_a = access / dof_row[j]
+                tau_a = access / d
                 total = tau_f + tau_a
                 if best is None or total < best_total:
                     best_total = total
-                    best = (group, f, i, load, tau_f, tau_a, dof_row[j])
+                    best = (group, f, i, load, tau_f, tau_a, d)
             yield best
 
 

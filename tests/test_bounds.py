@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fogndt.bounds import (
@@ -14,6 +15,7 @@ from fogndt.bounds import (
     ndt_upper,
     ndt_upper_limit_infinite_r,
 )
+from fogndt.dof import DofContractError, per_user_dof_default
 from fogndt.model import ConfigError, NetworkConfig
 from fogndt.scheduler import build_schedule
 from conftest import make_cfg, random_config, reference_3x3_group_pairs
@@ -197,3 +199,78 @@ def test_csv_row_uses_repr_floats():
     cfg = NetworkConfig(2, 2, 2, 0.1, 0.30000000000000004, 1.0)
     row = bounds_report(cfg).to_csv_row()
     assert "0.30000000000000004" in row
+
+
+def test_csv_row_writes_numpy_floats_as_plain_floats():
+    # numpy 2's repr of np.float64(0.5) is "np.float64(0.5)"; the JSON writers
+    # and the CSV both write the float's own shortest form.
+    plain = bounds_report(NetworkConfig(2, 2, 2, 0.5, 0.5, 1.0)).to_csv_row()
+    numpy_cfg = NetworkConfig(2, 2, 2, np.float64(0.5), np.float64(0.5), np.float64(1.0))
+    assert bounds_report(numpy_cfg).to_csv_row() == plain
+    assert plain == "2,2,0.5,0.5,1.0,0.75,0.625,1.2,1,1,0.5"
+    # Whole numbers from a config document stay as written.
+    assert bounds_report(NetworkConfig(2, 2, 2, 1, 0, 1)).to_csv_row().startswith("2,2,1,0,1,")
+
+
+class _Counting:
+    """A provider that counts its calls and can be told to fail."""
+
+    def __init__(self, fail=False):
+        self.calls = 0
+        self.fail = fail
+
+    def __call__(self, m, j, cfg):
+        self.calls += 1
+        if self.fail:
+            raise RuntimeError("provider failed")
+        return per_user_dof_default(m, j, cfg)
+
+
+def test_provider_is_evaluated_once_per_shape():
+    provider = _Counting()
+    nt, nr = 3, 4
+    for mu_t in (0.0, 0.3, 1.0):
+        for mu_r in (0.0, 0.3, 1.0):
+            for r in (0.5, 2.0, math.inf):
+                cfg = NetworkConfig(nt, nr, nr, mu_t, mu_r, r)
+                assert bounds_report(cfg, provider) == bounds_report(cfg)
+    assert provider.calls == nt * nr
+    ndt_upper_limit_infinite_r(make_cfg(nt=nt, nr=nr), provider)
+    build_schedule(make_cfg(nt=nt, nr=nr), dof=provider)
+    assert provider.calls == nt * nr
+    bounds_report(make_cfg(nt=nr, nr=nt), provider)
+    assert provider.calls == 2 * nt * nr
+
+
+def test_provider_that_raises_is_not_cached():
+    provider = _Counting(fail=True)
+    cfg = make_cfg(nt=2, nr=3, mu_t=0.3, mu_r=0.6, r=2.0)
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            bounds_report(cfg, provider)
+    assert provider.calls == 2
+    provider.fail = False
+    assert bounds_report(cfg, provider) == bounds_report(cfg)
+
+
+def test_unhashable_provider_is_refused_at_first_use():
+    class Unhashable(_Counting):
+        __hash__ = None
+
+    provider = Unhashable()
+    cfg = make_cfg(nt=2, nr=3)
+    for call in (bounds_report, ndt_upper, ndt_upper_limit_infinite_r, lambda c, d: build_schedule(c, dof=d)):
+        with pytest.raises(TypeError, match="unhashable"):
+            call(cfg, provider)
+    assert provider.calls == 0
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
+def test_provider_value_outside_the_contract_is_refused(bad):
+    def provider(m, j, cfg):
+        return bad if (m, j) == (1, 2) else 0.5
+
+    cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.0)  # group (1, n) is empty, yet its row is checked
+    for call in (bounds_report, lambda c, d: build_schedule(c, dof=d)):
+        with pytest.raises(DofContractError, match=r"outside \(0, 1\] at \(m=1, j=2, n_t=3, n_r=3\)"):
+            call(cfg, provider)

@@ -237,6 +237,16 @@ def test_sweep_rejects_out_of_range_value(capsys):
     assert "mu_r" in err
 
 
+@pytest.mark.parametrize("spec", ["lin:0:1", "geom:1:10:2:3", "lin:0:1:x"])
+def test_sweep_malformed_grid_names_the_flag(capsys, spec):
+    code, out, err = _run(
+        capsys, "sweep", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",
+        "--axis", "r", "--values", spec,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --values") and "kind:start:stop:count" in err and repr(spec) in err
+
+
 def test_simulate_success(capsys):
     code, out, _ = _run(
         capsys, "simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",

@@ -3,7 +3,7 @@
 Refactors of the scheduler, oracle and CLI must not move a single output
 byte.  The cases cover groups cached at no edge node, both fronthaul modes,
 duplicate demands, finite-file simulation with fixed seeds, a sweep CSV and
-the bounds JSON.
+the bounds JSON and CSV, and a small gap scan.
 A digest change here means a reported number or a schedule structure moved.
 """
 from __future__ import annotations
@@ -24,6 +24,10 @@ CASES = {
         ["bounds", "--nt", "3", "--nr", "4", "--mut", "0.3", "--mur", "0.6", "--r", "2", "--format", "json"],
         "f75a04d501ee3ea756c521567341b053fca44a44211a803aadc5d37068a980a0",
     ),
+    "bounds_csv": (
+        ["bounds", "--nt", "4", "--nr", "3", "--mut", "0.2", "--mur", "0.7", "--r", "0.5", "--format", "csv"],
+        "0d920068c69d2baca285403bdb655d0f65c31a98ffdfb571b86cf81176debc39",
+    ),
     "export_3x3": (
         ["schedule-export", "--nt", "3", "--nr", "3", "--mut", "0.25", "--mur", "0.25", "--r", "4"],
         "ea3ec2ac2beaf96990f0f1358f312af87d5f7aba0e4308952b554a6baf6f0278",
@@ -43,6 +47,11 @@ CASES = {
         ["schedule-export", "--nt", "5", "--nr", "5", "--mut", "0.5", "--mur", "0.5", "--r", "100.0",
          "--demand", "3,2,1,5,4"],
         "593647536fa710bf539820198d41c6e7fcec6c0547c2571b147e216787fc74ce",
+    ),
+    # Degenerate rows (users caching everything) and r = inf, over six shapes.
+    "gap_scan_small": (
+        ["gap-scan", "--nt-range", "2:3", "--nr-range", "2:4", "--mu-values", "0,0.3,1", "--r-values", "0.5,inf"],
+        "798e5a4766a831a9ebf4ffbe5fe7d0385b3eb153d2e211a1194f295406337acf",
     ),
     "simulate_2x2": (
         ["simulate", "--nt", "2", "--nr", "2", "--mut", "0.5", "--mur", "0.5", "--r", "1",

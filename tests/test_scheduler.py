@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fogndt.bounds import ndt_upper
+from fogndt.bounds import bounds_report, ndt_upper
 from fogndt.dof import per_user_dof_default
 from fogndt.model import DemandVector, GroupIndex
 from fogndt.placement import fractional_size
@@ -22,6 +22,7 @@ from fogndt.scheduler import (
     fronthaul_mode,
     fronthaul_payloads,
     fronthaul_plan,
+    _row_table,
 )
 from conftest import make_cfg, reference_3x3_group_pairs
 
@@ -193,6 +194,54 @@ def test_plans_equal_reference_rows_bitwise(nt, nr, mu_t, mu_r, r, dof):
         assert repr(got) == repr(expected)
         assert repr(plan.size_fraction) == repr(fractional_size(*group, cfg))
     assert repr(ndt_upper(cfg, dof)) == repr(schedule.breakdown.total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nt=st.integers(2, 6),
+    nr=st.integers(2, 5),
+    mu_t=_UNIT,
+    mu_r=_UNIT,
+    r=st.one_of(st.floats(1e-3, 1e9), st.just(math.inf)),
+    data=st.data(),
+)
+def test_plans_equal_reference_rows_for_any_dof_table(nt, nr, mu_t, mu_r, r, data):
+    # The row table drops each increment whose DoF is no larger than a smaller
+    # increment's.  Against every reference row, for DoF values in (0, 1] that
+    # may fall, repeat or rise in j, the plans must not change by a bit.
+    values = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0))
+    table = data.draw(st.lists(st.lists(values, min_size=nt, max_size=nt), min_size=nr, max_size=nr))
+
+    def dof(m, j, cfg):
+        return table[m][j - 1]
+
+    cfg = make_cfg(nt=nt, nr=nr, mu_t=mu_t, mu_r=mu_r, r=r)
+    schedule = build_schedule(cfg, dof=dof)
+    for group, plan in schedule.groups.items():
+        _total, *expected = min(_rows(group, cfg, dof).values())
+        assert repr([plan.chosen_i, plan.fronthaul_load, plan.tau_f, plan.tau_a, plan.dof_value]) == repr(expected)
+    assert repr(ndt_upper(cfg, dof)) == repr(schedule.breakdown.total)
+
+
+def test_providers_on_one_shape_keep_their_own_rows():
+    # Each provider's values are kept per (provider, shape): alternating two
+    # providers on one shape gives what each gives on a fresh memo.
+    cfgs = [make_cfg(nt=4, nr=3, mu_t=mu, mu_r=1.0 - mu, r=r) for mu in (0.2, 0.5, 0.8) for r in (0.1, 1.0, 10.0)]
+
+    def results(dof):
+        schedules = [build_schedule(cfg, dof=dof) for cfg in cfgs]
+        return [(s.breakdown, [(p.chosen_i, p.dof_value) for p in s.groups.values()]) for s in schedules], [
+            bounds_report(cfg, dof) for cfg in cfgs
+        ]
+
+    fresh = {}
+    for dof in (_step_dof, _increasing_dof):
+        _row_table.cache_clear()
+        fresh[dof] = results(dof)
+    assert fresh[_step_dof] != fresh[_increasing_dof]
+    for _ in range(2):
+        for dof in (_step_dof, _increasing_dof):
+            assert results(dof) == fresh[dof]
 
 
 def test_optimize_prefers_no_fronthaul_when_r_tiny():
