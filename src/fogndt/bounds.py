@@ -58,18 +58,8 @@ def _csv_number(v) -> str:
 
 def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Achievable delivery time: best cooperation choice summed over all groups."""
-    total_f, total_a = _ndt_upper(cfg, dof)
+    total_f, total_a = _group_terms(cfg, dof)
     return total_f + total_a
-
-
-def _ndt_upper(cfg: NetworkConfig, dof: DofProvider) -> tuple[float, float]:
-    """(fronthaul, access) totals of the achievable delivery time; overflow blame needs both."""
-    total_f = 0.0
-    total_a = 0.0
-    for _group, _f, _i, _load, tau_f, tau_a, _d in _group_terms(cfg, dof):
-        total_f += tau_f
-        total_a += tau_a
-    return total_f, total_a
 
 
 def ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
@@ -116,7 +106,7 @@ def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_d
 
 
 def bounds_report(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> BoundsReport:
-    total_f, total_a = _ndt_upper(cfg, dof)
+    total_f, total_a = _group_terms(cfg, dof)
     upper = total_f + total_a
     lower, l1, l2 = ndt_lower(cfg)
     return BoundsReport(

@@ -90,7 +90,10 @@ def table_provider_from_json(path) -> DofProvider:
     malformed entries raise DofContractError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise DofContractError(f"DoF table nests too deeply: {path}") from None
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise DofContractError("a DoF table is a JSON object with an 'entries' list")

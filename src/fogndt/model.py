@@ -7,7 +7,7 @@ it again.  Groups and demand vectors are checked against a config.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -122,17 +122,3 @@ class NdtBreakdown:
     total_f: float
     total_a: float
     total: float
-
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[float, float]]) -> "NdtBreakdown":
-        """Reduce per-group (tau_f, tau_a) pairs in the order given.
-
-        The accumulation order is part of the contract: totals must be
-        bit-reproducible against any other consumer of the same term stream.
-        """
-        total_f = 0.0
-        total_a = 0.0
-        for tau_f, tau_a in terms:
-            total_f += tau_f
-            total_a += tau_a
-        return NdtBreakdown(total_f, total_a, total_f + total_a)

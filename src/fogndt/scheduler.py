@@ -180,15 +180,16 @@ def _row_table(dof: DofProvider, nt: int, nr: int) -> tuple:
     return tuple(table)
 
 
-def _group_terms(cfg: NetworkConfig, dof: DofProvider):
-    """Yield (group, f, chosen_i, load, tau_f, tau_a, dof_value) of the fastest increment
-    per group, in ascending (m, n) order, for a config the caller has validated.
+def _group_terms(cfg: NetworkConfig, dof: DofProvider, plans: list | None = None) -> tuple[float, float]:
+    """The (fronthaul, access) totals of the fastest increment per group, for a config the
+    caller has validated; into ``plans``, if given, each group's
+    ``(group, f, chosen_i, load, tau_f, tau_a, dof_value)``.
 
-    ``load = c_load * f``, ``tau_f = load / r`` and ``tau_a = (c_access * f) / d``;
-    a row replaces the best only if its total is strictly smaller, so ties go to
-    the smaller i.  Groups with zero subfile fraction are skipped.  This is the
-    single source of per-group times for both the schedule breakdown and the
-    closed-form bound, which keeps the two bit-identical.
+    ``load = c_load * f``, ``tau_f = load / r`` and ``tau_a = (c_access * f) / d``; the
+    first row is taken, and a later row replaces it only if its total is strictly
+    smaller, so ties go to the smaller i.  Groups with zero subfile fraction are skipped.
+    The totals accumulate from 0.0 in ascending (m, n) order.  This one pass serves both
+    the closed-form bound and the schedule breakdown, which keeps the two bit-identical.
     """
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
     mu_r, mu_t = cfg.mu_r, cfg.mu_t
@@ -196,6 +197,8 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider):
     pow_qr = [(1.0 - mu_r) ** k for k in range(nr + 1)]
     pow_mt = [mu_t ** k for k in range(nt + 1)]
     pow_qt = [(1.0 - mu_t) ** k for k in range(nt + 1)]
+    total_f = 0.0
+    total_a = 0.0
     for m, (_c_limit, _d_full, groups) in enumerate(_row_table(dof, nt, nr)):
         ue_part = pow_mr[m] * pow_qr[nr - m]
         for group, n, c_access, rows in groups:
@@ -204,15 +207,19 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider):
                 continue
             access = c_access * f
             best = None
-            for i, c_load, d in rows:
-                load = c_load * f
-                tau_f = load / r
+            for row in rows:
+                _i, c_load, d = row
+                tau_f = c_load * f / r
                 tau_a = access / d
                 total = tau_f + tau_a
                 if best is None or total < best_total:
-                    best_total = total
-                    best = (group, f, i, load, tau_f, tau_a, d)
-            yield best
+                    best, best_total, best_f, best_a = row, total, tau_f, tau_a
+            total_f += best_f
+            total_a += best_a
+            if plans is not None:
+                i, c_load, d = best
+                plans.append((group, f, i, c_load * f, best_f, best_a, d))
+    return total_f, total_a
 
 
 @dataclass(frozen=True)
@@ -380,10 +387,10 @@ def build_schedule(
 ) -> DeliverySchedule:
     """Assemble the full two-hop schedule over all nonempty groups."""
     demand = DemandVector.distinct(cfg) if demand is None else demand.validated(cfg)
-    plans: dict[GroupIndex, GroupPlan] = {}
-    terms = []
-    for group, f, i_star, load, tau_f, tau_a, d in _group_terms(cfg, dof):
-        plans[group] = GroupPlan(
+    terms: list = []
+    total_f, total_a = _group_terms(cfg, dof, terms)
+    plans = {
+        group: GroupPlan(
             index=group,
             chosen_i=i_star,
             mode=fronthaul_mode(group.n, i_star),
@@ -394,8 +401,9 @@ def build_schedule(
             dof_value=d,
             cfg=cfg,
         )
-        terms.append((tau_f, tau_a))
-    breakdown = NdtBreakdown.from_terms(terms)
+        for group, f, i_star, load, tau_f, tau_a, d in terms
+    }
+    breakdown = NdtBreakdown(total_f, total_a, total_f + total_a)
     if not math.isfinite(breakdown.total):
         raise _overflow_error(cfg, breakdown.total_f, breakdown.total_a)
     return DeliverySchedule(cfg, demand, plans, breakdown)

@@ -1,21 +1,19 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogndt
 from fogndt.bounds import CSV_HEADER, bounds_report, gap
-from fogndt.cli import _json_text, main
+from fogndt.cli import main
 from conftest import make_cfg
 
 _SRC = str(Path(fogndt.__file__).resolve().parents[1])
@@ -216,6 +214,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: unknown configuration key: 'fronthaul_R'\n"
+
+
+def test_deeply_nested_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = _run(capsys, "bounds", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: configuration file nests too deeply: {path}\n"
 
 
 _JSON_SCALARS = (
@@ -565,36 +572,19 @@ def test_simulate_refuses_overflowing_r_before_sampling(capsys, monkeypatch):
     assert out == "" and "fronthaul_r" in err
 
 
-_JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
-_JSON_SCALARS = st.none() | st.booleans() | st.integers(-(2**80), 2**80) | _JSON_FLOATS | st.text(max_size=6)
-_JSON_KEYS = st.text(max_size=4) | st.integers(-(2**70), 2**70) | _JSON_FLOATS | st.booleans() | st.none()
-_JSON_DOCS = st.recursive(
-    _JSON_SCALARS | st.sampled_from(["é", "\x00\x1f\t", "\u2028😀", "\\\"/"]),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
-    max_leaves=30,
-)
+def test_simulate_decode_failure_document(capsys, monkeypatch):
+    from fogndt.oracle import DecodeFailure
 
+    exc = DecodeFailure(("en", 2), ((1, 2), (1,)), (2,))
 
-# Equal as tuples, different as JSON: a writer that memoized tuples by value would mix them up.
-_EQUAL_TUPLES = [(1,), (1.0,), (True,), (0.0,), (-0.0,)]
+    def failing_oracle(*args):
+        raise exc
 
-
-@settings(max_examples=200, deadline=None)
-@given(doc=_JSON_DOCS)
-@example(doc=[_EQUAL_TUPLES, {"deeper": [_EQUAL_TUPLES, (2, 1.0)]}])
-@example(doc={"x": np.float64(0.1), "y": [np.float64("nan"), np.float64(-np.inf), (np.float64(-0.0),)]})
-def test_json_writer_matches_json_dumps(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2)
-
-
-@pytest.mark.parametrize("doc", [np.int64(1), {1, 2}, [{"a": {1}}], {(1,): 2}, {np.int64(1): 2}])
-def test_json_writer_refuses_what_json_refuses(doc):
-    with pytest.raises(TypeError):
-        json.dumps(doc, indent=2)
-    with pytest.raises(TypeError):
-        _json_text(doc)
+    monkeypatch.setattr("fogndt.cli.execute_schedule", failing_oracle)
+    code, out, err = _run(capsys, *_SIMULATE_2X2)
+    assert code == 3
+    assert out == json.dumps({"error": str(exc)}, indent=2) + "\n"
+    assert err == ""
 
 
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):

@@ -122,3 +122,10 @@ def test_table_provider_vets_the_contract(tmp_path):
 def test_table_provider_rejects_malformed_entries(tmp_path, doc):
     with pytest.raises(DofContractError):
         table_provider_from_json(_write_table(tmp_path, doc))
+
+
+def test_table_provider_refuses_deeply_nested_json(tmp_path):
+    path = tmp_path / "dof.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(DofContractError, match="nests too deeply"):
+        table_provider_from_json(path)

@@ -10,7 +10,6 @@ from fogndt.model import (
     ConfigError,
     DemandVector,
     GroupIndex,
-    NdtBreakdown,
     NetworkConfig,
     config_from_dict,
     config_to_dict,
@@ -146,10 +145,3 @@ def test_demand_vector():
         DemandVector((1, 2, 6)).validated(cfg)
     with pytest.raises(ValueError):
         DemandVector((0, 1, 2)).validated(cfg)
-
-
-def test_breakdown_from_terms_totals():
-    br = NdtBreakdown.from_terms([(0.25, 0.5), (0.125, 0.25)])
-    assert br.total_f == 0.25 + 0.125
-    assert br.total_a == 0.5 + 0.25
-    assert br.total == br.total_f + br.total_a

@@ -193,7 +193,16 @@ def test_plans_equal_reference_rows_bitwise(nt, nr, mu_t, mu_r, r, dof):
         got = [plan.chosen_i, plan.fronthaul_load, plan.tau_f, plan.tau_a, plan.dof_value]
         assert repr(got) == repr(expected)
         assert repr(plan.size_fraction) == repr(fractional_size(*group, cfg))
-    assert repr(ndt_upper(cfg, dof)) == repr(schedule.breakdown.total)
+    # The totals re-summed from 0.0 in ascending (m, n) order: the one
+    # reduction order both the breakdown and the bounds must keep.
+    total_f = total_a = 0.0
+    for group in sorted(schedule.groups):
+        total_f += schedule.groups[group].tau_f
+        total_a += schedule.groups[group].tau_a
+    breakdown = schedule.breakdown
+    assert repr((breakdown.total_f, breakdown.total_a, breakdown.total)) == repr((total_f, total_a, total_f + total_a))
+    assert repr(ndt_upper(cfg, dof)) == repr(breakdown.total)
+    assert repr(bounds_report(cfg, dof).tau_upper) == repr(breakdown.total)
 
 
 @settings(max_examples=200, deadline=None)
