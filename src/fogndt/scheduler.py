@@ -188,8 +188,10 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider, plans: list | None = None
     ``load = c_load * f``, ``tau_f = load / r`` and ``tau_a = (c_access * f) / d``; the
     first row is taken, and a later row replaces it only if its total is strictly
     smaller, so ties go to the smaller i.  Groups with zero subfile fraction are skipped.
-    The totals accumulate from 0.0 in ascending (m, n) order.  This one pass serves both
-    the closed-form bound and the schedule breakdown, which keeps the two bit-identical.
+    The accumulation order is part of the contract: the totals start from 0.0 and add the
+    groups in ascending (m, n) order, so re-summing the plans' times in that order gives
+    the same bits.  This one pass serves both the closed-form bound and the schedule
+    breakdown, which keeps the two bit-identical.
     """
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
     mu_r, mu_t = cfg.mu_r, cfg.mu_t
