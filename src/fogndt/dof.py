@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterator, Sequence
 
-from .model import NetworkConfig
+from .model import NetworkConfig, short_repr
 
 DofProvider = Callable[[int, int, NetworkConfig], float]
 
@@ -100,13 +100,13 @@ def table_provider_from_json(path) -> DofProvider:
     table: dict[tuple[int, int, int, int], float] = {}
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {*_TABLE_KEYS, "d"}:
-            raise DofContractError(f"DoF table entry needs exactly the keys m, j, n_t, n_r, d: {entry!r}")
+            raise DofContractError(f"DoF table entry needs exactly the keys m, j, n_t, n_r, d: {short_repr(entry)}")
         key = m, j, nt, nr = tuple(entry[k] for k in _TABLE_KEYS)
         d = entry["d"]
         if not all(type(v) is int for v in key) or type(d) not in (int, float):
-            raise DofContractError(f"DoF table entry with non-numeric fields: {entry!r}")
+            raise DofContractError(f"DoF table entry with non-numeric fields: {short_repr(entry)}")
         if not (nt >= 2 and nr >= 2 and 0 <= m < nr and 1 <= j <= nt and 0 < d <= 1) or key in table:
-            raise DofContractError(f"DoF table entry out of range or repeated: {entry!r}")
+            raise DofContractError(f"DoF table entry out of range or repeated: {short_repr(entry)}")
         table[key] = float(d)
 
     def provider(m: int, j: int, cfg: NetworkConfig) -> float:

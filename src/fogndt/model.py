@@ -10,6 +10,12 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
+def short_repr(value, limit: int = 100) -> str:
+    """``repr(value)`` for an error message, its middle cut out past ``limit`` characters."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[: limit // 2 - 2]}...{text[2 - limit // 2 :]}"
+
+
 class ConfigError(ValueError):
     """A configuration field is outside its allowed range."""
 
@@ -40,11 +46,11 @@ class NetworkConfig:
         for name in ("num_ens", "num_ues", "num_files"):
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, int):
-                raise ConfigError(name, f"{name} must be an integer, got {value!r}")
+                raise ConfigError(name, f"{name} must be an integer, got {short_repr(value)}")
         for name in ("mu_t", "mu_r", "fronthaul_r"):
             value = getattr(self, name)
             if type(value) is bool or not isinstance(value, (int, float)):
-                raise ConfigError(name, f"{name} must be a number, got {value!r}")
+                raise ConfigError(name, f"{name} must be a number, got {short_repr(value)}")
         if self.num_ens < 2:
             raise ConfigError("num_ens", f"num_ens below minimum: {self.num_ens} < 2")
         if self.num_ues < 2:
@@ -70,7 +76,7 @@ def config_from_dict(doc: dict) -> NetworkConfig:
     """The config a JSON object describes; a key outside the six fields or a missing one is a ConfigError."""
     for key in doc:
         if key not in _FIELDS:
-            raise ConfigError(str(key), f"unknown configuration key: {key!r}")
+            raise ConfigError(str(key), f"unknown configuration key: {short_repr(key)}")
     try:
         return NetworkConfig(**{name: doc[name] for name in _FIELDS})
     except KeyError as exc:

@@ -1,17 +1,16 @@
 """Bit-exact execution of a delivery schedule against a placement realization.
 
-The oracle materializes every coded payload from realized subfile bits and
-counts every transmitted bit.  Realized cells have unequal sizes at finite
-file length, so XOR constituents are zero-padded to the longest participant;
-the padding is tracked separately and vanishes relative to the file size.
+The oracle counts every transmitted bit of a two-hop delivery.  Realized
+cells have unequal sizes at finite file length, so XOR constituents are
+zero-padded to the longest participant; the padding is tracked separately
+and vanishes relative to the file size.
 
-It runs in array operations, with no loop per message or per slice.  The
-index sets of every group's plan become arrays in one pass, and each cell
-lookup, message length, slice cut, load, fronthaul lookup and decode check
-is then one array operation over the whole schedule.  Bits are materialized
-one group at a time: the group's messages lie at offsets in one buffer,
-every constituent's cell is XORed in at its message's offset, and every
-fronthaul payload is cut from that buffer and XORed the same way.
+Every reported number depends only on the plan's index sets and on each
+demanded file's cell counts.  The index sets become arrays in one pass, and
+each cell lookup, message length, slice cut, load, fronthaul lookup and
+decode check is then one array operation over the whole schedule, with no
+loop per message or per slice.  Payload bits are made, bit-exact from the
+realized file contents, only when they are recorded.
 
 Decodability is a property of index sets, and the oracle checks it there,
 with cache sets as node bitmasks.  An edge node decodes a fronthaul payload
@@ -24,7 +23,6 @@ Either failure means a scheme or accounting bug, never noise.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -117,11 +115,6 @@ class DecodeReport:
         return doc
 
 
-# Ranges at least this long are XORed as slices, shorter ones in one gather: a
-# slice costs about a microsecond of Python, a gathered bit about ten nanoseconds.
-_SLICE_BITS = 128
-
-
 class _TupleIds(dict):
     """Small ids for node-id tuples, in order of first sight, and each tuple's node bitmask
     (bit ``x - 1`` for node ``x``)."""
@@ -169,29 +162,6 @@ def _find(sorted_keys: np.ndarray, found: np.ndarray, keys: np.ndarray) -> np.nd
     return np.where(sorted_keys[at] == keys, found[at], -1)
 
 
-def _xor_ranges(out: np.ndarray, sources, runs: list[int], dest, start, size) -> None:
-    """``out[d : d + z] ^= source[s : s + z]`` for every range ``(d, s, z)``, where ranges
-    ``runs[i]`` to ``runs[i + 1]`` read ``sources[i]``; ``out`` and the sources hold 0 or 1.
-
-    Long ranges are XORed as slices.  The short ones are gathered bit by bit, one take
-    per source, and XORed in by parity, the low bit of a sum, so they may overlap.
-    """
-    for j in (size >= _SLICE_BITS).nonzero()[0].tolist():
-        source = sources[bisect.bisect_right(runs, j) - 1]
-        d, s, z = int(dest[j]), int(start[j]), int(size[j])
-        out[d : d + z] ^= source[s : s + z]
-    size = np.where(size < _SLICE_BITS, size, 0)
-    edges = _starts(size)
-    src = np.arange(edges[-1]) + (start - edges[:-1]).repeat(size)
-    bits = np.empty(src.size, dtype=np.uint8)
-    edges = edges[runs].tolist()
-    for source, a, b in zip(sources, edges, edges[1:]):
-        if a < b:
-            source.take(src[a:b], out=bits[a:b])
-    np.add.at(out, src + (dest - start).repeat(size), bits)
-    out &= 1
-
-
 def _find_cells(indices, user: np.ndarray, label: np.ndarray, file_size: int):
     """Each constituent's cell, as its start in its user's index and its bit count, and
     whether each user decodes its file: the cells it holds, those with its own bit, and
@@ -223,7 +193,10 @@ def execute_schedule(
     schedule: DeliverySchedule,
     record_payloads: bool = False,
 ) -> DecodeReport:
-    """Run the full two-hop delivery, checking every decode and counting every bit."""
+    """Run the full two-hop delivery, checking every decode and counting every bit.
+
+    Decodes are checked on index sets and cell counts, so the report reads no
+    payload bit; with ``record_payloads`` every payload is also built and kept."""
     cfg = schedule.cfg
     if placement.cfg != cfg:
         raise ValueError("placement and schedule were built for different configurations")
@@ -273,14 +246,13 @@ def execute_schedule(
     label = (ue_mask | cache_mask << nr)[msg_of] & ~(1 << (user - 1))
     start, count, success = _find_cells(indices, user, label, file_size)
 
-    # Each message is zero-padded to its longest constituent.  Positions are
-    # in one virtual buffer holding every message in order; group g's own
-    # buffer is its stretch from group_at[g].  Each sub-message owns one
-    # near-equal slice of its message, earlier slices taking the remainder.
+    # Each message is zero-padded to its longest constituent and lies at
+    # msg_at in one buffer holding every message in order.  Each sub-message
+    # owns one near-equal slice of its message, earlier slices taking the
+    # remainder.
     length = _segment_max(count, width)
     msg_at = length.cumsum() - length
-    group_at = _starts(length)[msg_first]
-    naive_fh = np.diff(group_at)
+    naive_fh = np.diff(_starts(length)[msg_first])
     group_m, group_n = np.array(groups, dtype=np.int64).reshape(-1, 2).T
     padding_total = int(((group_m + 1) * naive_fh).sum()) - int(count.sum())
     sub_msg = np.arange(count_m).repeat(ways)
@@ -312,8 +284,7 @@ def execute_schedule(
     piece_size[sent] = sub_size[piece_sub[sent]]
     payload_len = _segment_max(piece_size, pieces)
     payload_at = payload_len.cumsum() - payload_len
-    group_payload_at = _starts(payload_len)[tx_first]
-    group_fh = np.diff(group_payload_at)
+    group_fh = np.diff(_starts(payload_len)[tx_first])
     padding_total += int((pieces * payload_len).sum()) - int(piece_size.sum())
 
     # An edge node of the cooperation set decodes a payload when it caches
@@ -381,41 +352,30 @@ def execute_schedule(
     loads = np.bincount(group_user, weights=length[msg_of], minlength=len(plans) * (nr + 1))
     max_load = loads.reshape(len(plans), nr + 1).max(axis=1, initial=0).astype(np.int64)
 
-    # Materialize every payload, one group at a time: each constituent's cell
-    # XORed in at its message's offset in the group's buffer, user by user,
-    # then each fronthaul payload cut from that buffer.
+    # Payload bits are made only when they are recorded: each constituent's
+    # cell XORed into one buffer of every message at msg_at, each sent piece
+    # into its payload at payload_at.  Records go group by group, fronthaul
+    # in transmission order, then access in sub-message order.
     records: list[PayloadRecord] = [] if record_payloads else None
-    sources = [index.bits for index in indices]
-    by_group = group_user.argsort(kind="stable")
-    runs = group_user[by_group].searchsorted(np.arange(len(plans) * (nr + 1) + 1)).tolist()
-    cell_dest = (msg_at - group_at[msg_group])[msg_of][by_group]
-    cell_start, cell_count = start[by_group], count[by_group]
-    sent_first = sent.searchsorted(_starts(pieces)[tx_first]).tolist()
-    for g, (m, n) in enumerate(groups):
-        if not naive_fh[g]:
-            continue
-        user_runs = runs[g * (nr + 1) + 1 : (g + 1) * (nr + 1) + 1]
-        a, b = user_runs[0], user_runs[-1]
-        xor = np.zeros(naive_fh[g], dtype=np.uint8)
-        _xor_ranges(xor, sources, [r - a for r in user_runs], cell_dest[a:b], cell_start[a:b], cell_count[a:b])
-        fronthaul = np.zeros(group_fh[g], dtype=np.uint8)
-        if fronthaul.size:
-            at = sent[sent_first[g] : sent_first[g + 1]]
-            subs = piece_sub[at]
-            dest = payload_at[tx_of[at]] - group_payload_at[g]
-            _xor_ranges(fronthaul, [xor], [0, at.size], dest, sub_at[subs] - group_at[g], sub_size[subs])
-        if records is not None:
-            for t in range(tx_first[g], tx_first[g + 1]):
-                if payload_len[t]:
-                    a = payload_at[t] - group_payload_at[g]
-                    bits = fronthaul[a : a + payload_len[t]]
-                    records.append(PayloadRecord("fronthaul", m, n, *txs[t], _hex(bits), bits.size))
-            for s in range(sub_first[g], sub_first[g + 1]):
-                if sub_size[s]:
-                    j, a = sub_msg[s], sub_at[s] - group_at[g]
-                    bits = xor[a : a + sub_size[s]]
-                    coop = coop_lists[j][k[s]]
-                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop, (caches[j],), _hex(bits), bits.size))
+    if records is not None:
+        xor = np.zeros(int(length.sum()), dtype=np.uint8)
+        for q, d, a, c in zip(user.tolist(), msg_at[msg_of].tolist(), start.tolist(), count.tolist()):
+            xor[d : d + c] ^= indices[q - 1].bits[a : a + c]
+        fronthaul = np.zeros(int(payload_len.sum()), dtype=np.uint8)
+        subs = piece_sub[sent]
+        for d, a, z in zip(payload_at[tx_of[sent]].tolist(), sub_at[subs].tolist(), sub_size[subs].tolist()):
+            fronthaul[d : d + z] ^= xor[a : a + z]
+        # Transmissions and sub-messages are both listed group after group.
+        fh = zip(txs, payload_at.tolist(), payload_len.tolist())
+        access = zip(sub_msg.tolist(), k.tolist(), sub_at.tolist(), sub_size.tolist())
+        for (m, n), tx_count, sub_count in zip(groups, tx_counts, np.diff(sub_first).tolist()):
+            for tx, a, z in itertools.islice(fh, tx_count):
+                if z:
+                    records.append(PayloadRecord("fronthaul", m, n, *tx, _hex(fronthaul[a : a + z]), z))
+            for j, c, a, z in itertools.islice(access, sub_count):
+                if z:
+                    bits = _hex(xor[a : a + z])
+                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), bits, z))
 
     tau_a_emp = 0.0
     access_by_coop: dict[int, int] = {}

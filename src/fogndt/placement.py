@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .model import NetworkConfig, config_from_dict, config_to_dict
+from .model import NetworkConfig, config_from_dict, config_to_dict, short_repr
 
 # Labels are packed into unsigned masks of at most 32 bits: low num_ues bits
 # for users, the next num_ens bits for edge nodes.
@@ -259,7 +259,7 @@ def _exact_int(value, name: str, rule: str, minimum: int) -> int:
         else:
             if number >= minimum:
                 return number
-    raise ValueError(f"{name} must be {rule}: {value!r}")
+    raise ValueError(f"{name} must be {rule}: {short_repr(value)}")
 
 
 def _index_ranges(idx: np.ndarray) -> list[list[int]]:
@@ -322,7 +322,7 @@ def placement_from_replay(doc: dict) -> PlacementRealization:
 
 def _placement_from_replay(doc: dict) -> PlacementRealization:
     if doc.get("format") != REPLAY_FORMAT:
-        raise ValueError(f"unsupported replay format: {doc.get('format')!r}")
+        raise ValueError(f"unsupported replay format: {short_repr(doc.get('format'))}")
     cfg = config_from_dict(doc["config"])
     size = _exact_int(doc["file_size_bits"], "file_size_bits", "a positive integer", 1)
     seed = doc["seed"]
@@ -336,7 +336,7 @@ def _placement_from_replay(doc: dict) -> PlacementRealization:
     for entry in doc["files"]:
         file_id = entry["file"]
         if not type(file_id) is int or not 1 <= file_id <= cfg.num_files or file_id in seen:
-            raise ValueError(f"file ids must be 1..{cfg.num_files}, each once; got {file_id!r}")
+            raise ValueError(f"file ids must be 1..{cfg.num_files}, each once; got {short_repr(file_id)}")
         seen.add(file_id)
         labels[file_id - 1] = _file_labels(file_id, entry["cells"], size, cfg)
     if len(seen) != cfg.num_files:
@@ -364,8 +364,12 @@ def _file_labels(file_id: int, cells: list, size: int, cfg: NetworkConfig) -> np
     cell_labels, counts, per_cell, ranges = [], [], [], []
     for cell in cells:
         if not all(type(node) is int for node in (*cell["ues"], *cell["ens"])):
-            raise ValueError(f"file {file_id}: node ids must be integers: {cell['ues']}, {cell['ens']}")
+            nodes = f"{short_repr(cell['ues'])}, {short_repr(cell['ens'])}"
+            raise ValueError(f"file {file_id}: node ids must be integers: {nodes}")
         cell_labels.append(pack_label(cell["ues"], cell["ens"], cfg))
+        # Exact ints only: a bool or a float would equal the bits its ranges hold.
+        if type(cell["count"]) is not int:
+            raise ValueError(f"file {file_id}: cell count must be an integer: {short_repr(cell['count'])}")
         counts.append(cell["count"])
         # Exact ints only: numpy would take a bool as 0 or 1.
         if not all(type(start) is int and type(end) is int for start, end in cell["ranges"]):

@@ -216,6 +216,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert err == "error: unknown configuration key: 'fronthaul_R'\n"
 
 
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ({**_VALID_DOC, "num_ens": "two"}, "error: num_ens must be an integer, got 'two'\n"),
+        ({**_VALID_DOC, "mu_t": [0.5]}, "error: mu_t must be a number, got [0.5]\n"),
+        ({**_VALID_DOC, "num_ens": "x" * 1_000_000}, f"error: num_ens must be an integer, got '{'x' * 47}...{'x' * 47}'\n"),
+        ({**_VALID_DOC, "k" * 500_000: 1}, f"error: unknown configuration key: '{'k' * 47}...{'k' * 47}'\n"),
+    ],
+    ids=["short_value", "short_list", "long_value", "long_key"],
+)
+def test_config_error_echoes_a_bounded_value(tmp_path, capsys, doc, line):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = _run(capsys, "bounds", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == line
+
+
 def test_deeply_nested_config_file_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("[" * 100_000, encoding="utf-8")

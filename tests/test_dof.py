@@ -124,6 +124,19 @@ def test_table_provider_rejects_malformed_entries(tmp_path, doc):
         table_provider_from_json(_write_table(tmp_path, doc))
 
 
+def test_table_entry_error_echoes_a_bounded_entry(tmp_path):
+    ordinary = {"m": 0, "j": 2, "n_t": 2, "n_r": 5, "d": "0.4"}
+    with pytest.raises(DofContractError) as err:
+        table_provider_from_json(_write_table(tmp_path, {"entries": [ordinary]}))
+    assert str(err.value) == f"DoF table entry with non-numeric fields: {ordinary!r}"
+    for entry in ({**ordinary, "d": "9" * 1_000_000}, {**ordinary, "k" * 500_000: 1}):
+        with pytest.raises(DofContractError) as err:
+            table_provider_from_json(_write_table(tmp_path, {"entries": [entry]}))
+        message = str(err.value)
+        assert message.startswith("DoF table entry ") and "{'m': 0, 'j': 2" in message
+        assert len(message) < 200 and "..." in message
+
+
 def test_table_provider_refuses_deeply_nested_json(tmp_path):
     path = tmp_path / "dof.json"
     path.write_text("[" * 100_000, encoding="utf-8")

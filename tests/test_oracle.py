@@ -283,6 +283,31 @@ def test_golden_micro_loads_match_hand_computation():
     assert report.per_group[GroupIndex(1, 1)].naive_fronthaul_bits == 2
 
 
+def _without_bits(placement):
+    """The same placement, its cell indices holding labels but no bits."""
+    bare = dataclasses.replace(placement)
+    vars(bare)["_cells"] = tuple(index._replace(bits=None) for index in placement._cells)
+    return bare
+
+
+@pytest.mark.parametrize("source", ["sampled", "hand_built"])
+def test_default_report_reads_no_payload_bit(source):
+    if source == "sampled":
+        cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
+        placement, demand = sample_placement(cfg, 5000, seed=9), None
+    else:
+        doc, cfg, placement = _load_micro_fixture()
+        demand = DemandVector(tuple(doc["demand"]))
+    schedule = build_schedule(cfg, demand)
+    want = execute_schedule(placement, schedule.demand, schedule)
+    assert want.fronthaul_bits > 0 and sum(want.access_bits_by_coop.values()) > 0
+    bare = _without_bits(placement)
+    assert execute_schedule(bare, schedule.demand, schedule).to_dict() == want.to_dict()
+    # Recorded payloads do read the bits.
+    with pytest.raises(TypeError):
+        execute_schedule(bare, schedule.demand, schedule, record_payloads=True)
+
+
 # Fault injection: the oracle reads the plan's own structure, so a wrong plan
 # must surface as a decode failure.  At this 3x2 shape the increasing DoF
 # gives group (1, 1) coded fronthaul at i = 1, group (0, 0) naive fronthaul

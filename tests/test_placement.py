@@ -274,14 +274,47 @@ def test_replay_rejects_descending_ranges():
         lambda doc: doc.update(seed="x"),
         lambda doc: doc["files"][0]["cells"][0]["ranges"][0].__setitem__(1, 2**70),
         lambda doc: doc["config"].update(num_file=3),
+        lambda doc: doc["files"][0]["cells"][0].update(count=float(doc["files"][0]["cells"][0]["count"])),
     ],
-    ids=["no_config", "no_count", "int_files", "null_files", "str_seed", "huge_range_end", "unknown_config_key"],
+    ids=["no_config", "no_count", "int_files", "null_files", "str_seed", "huge_range_end", "unknown_config_key",
+         "float_count"],
 )
 def test_replay_structural_fault_raises_value_error(fault):
     doc = _replay_doc()
     fault(doc)
     with pytest.raises(ValueError):
         placement_from_replay(doc)
+
+
+@pytest.mark.parametrize("count", [True, 1.0], ids=["bool", "float"])
+def test_replay_refuses_a_count_that_is_not_an_int(count):
+    # Two 1-bit cells per file, whose count 1 equals both True and 1.0.
+    cfg = make_cfg(nt=2, nr=2, nfiles=2)
+    labels = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    doc = placement_to_replay(PlacementRealization(cfg, 2, None, labels, np.zeros((2, 2), dtype=np.uint8)))
+    placement_from_replay(doc)
+    doc["files"][1]["cells"][0]["count"] = count
+    with pytest.raises(ValueError, match=f"file 2: cell count must be an integer: {count}"):
+        placement_from_replay(doc)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda doc, long: doc.update(format=long),
+        lambda doc, long: doc.update(seed=long),
+        lambda doc, long: doc["files"][0].update(file=long),
+        lambda doc, long: doc["files"][0]["cells"][0].update(count=long),
+        lambda doc, long: doc["files"][0]["cells"][0].update(ues=[long]),
+    ],
+    ids=["format", "seed", "file_id", "count", "node_id"],
+)
+def test_replay_error_echoes_a_bounded_value(fault):
+    doc = _replay_doc()
+    fault(doc, "9" * 1_000_000)
+    with pytest.raises(ValueError) as err:
+        placement_from_replay(doc)
+    assert len(str(err.value)) < 200 and "'999" in str(err.value)
 
 
 def test_replay_refuses_unallocatable_file_size():
