@@ -6,11 +6,14 @@ zero-padded to the longest participant; the padding is tracked separately
 and vanishes relative to the file size.
 
 Every reported number depends only on the plan's index sets and on each
-demanded file's cell counts.  The index sets become arrays in one pass, and
-each cell lookup, message length, slice cut, load, fronthaul lookup and
-decode check is then one array operation over the whole schedule, with no
-loop per message or per slice.  Payload bits are made, bit-exact from the
-realized file contents, only when they are recorded.
+demanded file's cell counts, read from one table per distinct demanded file
+of its bits under each of the ``2^(n_r + n_t)`` labels (at most twice the
+message count).  The index sets become arrays in one pass, and each cell
+lookup, message length, slice cut, load, fronthaul lookup and decode check
+is then one array operation over the whole schedule, with no loop per
+message or per slice.  Payload bits are made, bit-exact from the realized
+file contents, only when they are recorded, and only they read the sorted
+cell index.
 
 Decodability is a property of index sets, and the oracle checks it there,
 with cache sets as node bitmasks.  An edge node decodes a fronthaul payload
@@ -38,9 +41,7 @@ class DecodeFailure(Exception):
     """Edge node ``node = ("en", p)`` lacks a sub-message its cooperation set sends."""
 
     def __init__(self, node: tuple[str, int], message_key, missing) -> None:
-        super().__init__(
-            f"{node[0]} {node[1]} failed to decode {missing} from message {message_key}"
-        )
+        super().__init__(f"{node[0]} {node[1]} failed to decode {missing} from message {message_key}")
         self.node = node
         self.message_key = message_key
         self.missing = missing
@@ -154,33 +155,20 @@ def _segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _find(sorted_keys: np.ndarray, found: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``found[j]`` for each key equal to ``sorted_keys[j]``, -1 for any other key.
-
-    ``sorted_keys`` ascends and ends in a sentinel above every key.
-    """
+    """``found[j]`` for each key equal to ``sorted_keys[j]``, -1 for any other key;
+    ``sorted_keys`` ascends and ends in a sentinel above every key."""
     at = sorted_keys.searchsorted(keys)
     return np.where(sorted_keys[at] == keys, found[at], -1)
 
 
-def _find_cells(indices, user: np.ndarray, label: np.ndarray, file_size: int):
-    """Each constituent's cell, as its start in its user's index and its bit count, and
-    whether each user decodes its file: the cells it holds, those with its own bit, and
-    the distinct cells it recovers must cover it.  One binary search per user, over
-    that user's labels in ascending order."""
-    by_user = np.lexsort((label, user))
-    runs = user[by_user].searchsorted(np.arange(1, len(indices) + 2)).tolist()
-    start = np.empty(user.size, dtype=np.int64)
-    count = np.empty(user.size, dtype=np.int64)
-    success = []
-    for q, index in enumerate(indices):
-        at = by_user[runs[q] : runs[q + 1]]
-        keys = label[at].astype(index.labels.dtype)
-        start[at] = index.labels.searchsorted(keys)
-        count[at] = index.labels.searchsorted(keys, "right") - start[at]
-        again = at[1:][keys[1:] == keys[:-1]]
-        held = int(np.count_nonzero(index.labels & (1 << q)))
-        success.append(held + int(count[at].sum()) - int(count[again].sum()) == file_size)
-    return start, count, tuple(success)
+def _xor_ranges(out: np.ndarray, out_at, src: np.ndarray, src_at, sizes, slot) -> None:
+    """XOR each ``src[src_at[j] :][: sizes[j]]`` into ``out`` at ``out_at[j]``, in one
+    gather per value of ``slot``; the ranges of ``out`` in one slot must not overlap."""
+    for r in range(int(slot.max(initial=-1)) + 1):
+        j = (slot == r).nonzero()[0]
+        z = sizes[j]
+        ramp = np.arange(int(z.sum())) - np.repeat(z.cumsum() - z, z)
+        out[np.repeat(out_at[j], z) + ramp] ^= src[np.repeat(src_at[j], z) + ramp]
 
 
 def _hex(bits: np.ndarray) -> str:
@@ -195,8 +183,11 @@ def execute_schedule(
 ) -> DecodeReport:
     """Run the full two-hop delivery, checking every decode and counting every bit.
 
-    Decodes are checked on index sets and cell counts, so the report reads no
-    payload bit; with ``record_payloads`` every payload is also built and kept."""
+    Decodes are checked on index sets and on one count table per distinct
+    demanded file (:meth:`PlacementRealization.cell_counts`, ``2^(n_r +
+    n_t)`` entries), so the report reads no payload bit and builds no sorted
+    cell index.  With ``record_payloads`` every payload is also built from
+    :meth:`PlacementRealization.cell_indices` and kept."""
     cfg = schedule.cfg
     if placement.cfg != cfg:
         raise ValueError("placement and schedule were built for different configurations")
@@ -205,7 +196,6 @@ def execute_schedule(
     demand.validated(cfg)
     nr, nt = cfg.num_ues, cfg.num_ens
     file_size = placement.file_size_bits
-    indices = [placement.cell_indices(file_id) for file_id in demand.demands]
     groups = sorted(schedule.groups)
     plans = [schedule.groups[g] for g in groups]
 
@@ -244,7 +234,15 @@ def execute_schedule(
         raise ValueError("a message names a node outside the network")
     msg_of = np.arange(count_m).repeat(width)
     label = (ue_mask | cache_mask << nr)[msg_of] & ~(1 << (user - 1))
-    start, count, success = _find_cells(indices, user, label, file_size)
+    # Its bit count is read from its user's row of the count tables, one per
+    # distinct demanded file.  A user decodes its file when the cells with
+    # its own bit and the distinct cells it recovers hold all of it.
+    counted = {file_id: placement.cell_counts(file_id) for file_id in dict.fromkeys(demand.demands)}
+    tables = np.stack([counted[file_id] for file_id in demand.demands])
+    count = tables[user - 1, label]
+    covered = (np.arange(tables.shape[1]) >> np.arange(nr)[:, None] & 1).astype(bool)
+    covered[user - 1, label] = True
+    success = tuple((np.where(covered, tables, 0).sum(axis=1) == file_size).tolist())
 
     # Each message is zero-padded to its longest constituent and lies at
     # msg_at in one buffer holding every message in order.  Each sub-message
@@ -352,19 +350,27 @@ def execute_schedule(
     loads = np.bincount(group_user, weights=length[msg_of], minlength=len(plans) * (nr + 1))
     max_load = loads.reshape(len(plans), nr + 1).max(axis=1, initial=0).astype(np.int64)
 
-    # Payload bits are made only when they are recorded: each constituent's
-    # cell XORed into one buffer of every message at msg_at, each sent piece
-    # into its payload at payload_at.  Records go group by group, fronthaul
-    # in transmission order, then access in sub-message order.
+    # Payload bits are made only when they are recorded.  A constituent's
+    # cell starts, in its file's sorted index, at the exclusive prefix sum of
+    # its count table at its label, and that range must hold its label alone.
+    # Cells are XORed into one buffer of every message at msg_at, sent pieces
+    # into their payloads at payload_at, one gather per position in the
+    # message or transmission.  Records go group by group, fronthaul in
+    # transmission order, then access in sub-message order.
     records: list[PayloadRecord] = [] if record_payloads else None
     if records is not None:
+        labels, bits = (np.concatenate(side) for side in zip(*map(placement.cell_indices, demand.demands)))
+        start = (tables.cumsum(axis=1) - tables)[user - 1, label]
+        src, full = (user - 1) * file_size + start, count > 0
+        ends = src[full], (src + count - 1)[full]
+        if ((start < 0) | (start + count > file_size)).any() or any((labels[e] != label[full]).any() for e in ends):
+            raise RuntimeError("cell counts disagree with the sorted cell index")
         xor = np.zeros(int(length.sum()), dtype=np.uint8)
-        for q, d, a, c in zip(user.tolist(), msg_at[msg_of].tolist(), start.tolist(), count.tolist()):
-            xor[d : d + c] ^= indices[q - 1].bits[a : a + c]
+        slot = np.arange(user.size) - (width.cumsum() - width)[msg_of]
+        _xor_ranges(xor, msg_at[msg_of], bits, src, count, slot)
         fronthaul = np.zeros(int(payload_len.sum()), dtype=np.uint8)
         subs = piece_sub[sent]
-        for d, a, z in zip(payload_at[tx_of[sent]].tolist(), sub_at[subs].tolist(), sub_size[subs].tolist()):
-            fronthaul[d : d + z] ^= xor[a : a + z]
+        _xor_ranges(fronthaul, payload_at[tx_of[sent]], xor, sub_at[subs], sub_size[subs], position[sent])
         # Transmissions and sub-messages are both listed group after group.
         fh = zip(txs, payload_at.tolist(), payload_len.tolist())
         access = zip(sub_msg.tolist(), k.tolist(), sub_at.tolist(), sub_size.tolist())
@@ -374,26 +380,18 @@ def execute_schedule(
                     records.append(PayloadRecord("fronthaul", m, n, *tx, _hex(fronthaul[a : a + z]), z))
             for j, c, a, z in itertools.islice(access, sub_count):
                 if z:
-                    bits = _hex(xor[a : a + z])
-                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), bits, z))
+                    hexed = _hex(xor[a : a + z])
+                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), hexed, z))
 
     tau_a_emp = 0.0
     access_by_coop: dict[int, int] = {}
     per_group: dict[GroupIndex, GroupStats] = {}
-    for g, (group, plan) in enumerate(zip(groups, plans)):
-        access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + int(group_access[g])
+    columns = (group_fh, naive_fh, coded_fh, group_access, max_load)
+    for group, plan, row in zip(groups, plans, zip(*(column.tolist() for column in columns))):
+        access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + row[3]
         # Summed in ascending (m, n) order, as the analytic breakdown is.
-        tau_a_emp += (int(max_load[g]) / file_size) / plan.dof_value
-        per_group[group] = GroupStats(
-            fronthaul_bits=int(group_fh[g]),
-            naive_fronthaul_bits=int(naive_fh[g]),
-            coded_fronthaul_bits=int(coded_fh[g]),
-            access_bits=int(group_access[g]),
-            max_per_ue_access_bits=int(max_load[g]),
-            coop_level=plan.coop_level,
-            mode=plan.mode,
-            chosen_i=plan.chosen_i,
-        )
+        tau_a_emp += (row[4] / file_size) / plan.dof_value
+        per_group[group] = GroupStats(*row, plan.coop_level, plan.mode, plan.chosen_i)
     fronthaul_total = int(group_fh.sum())
     return DecodeReport(
         per_ue_success=success,

@@ -26,8 +26,8 @@ from .model import NetworkConfig, config_from_dict, config_to_dict, short_repr
 # for users, the next num_ens bits for edge nodes.
 _MAX_PACKED_NODES = 30
 
-# Bits per block of label and content draws: bounds each sampling thread's
-# scratch to about a MB per side.
+# Bits per block of label and content draws, which bounds each sampling
+# thread's scratch to about a MB per side, and of labels counted at once.
 _LABEL_CHUNK_BITS = 1 << 15
 
 REPLAY_FORMAT = "fogndt-placement/1"
@@ -103,8 +103,12 @@ class PlacementRealization:
     ``bit_labels[f, b]`` is the packed label of bit ``b`` of file ``f + 1``
     and ``file_bits[f, b]`` the bit value itself.  Sampled and replayed
     realizations store labels in the narrowest unsigned type that holds
-    ``num_ues + num_ens`` bits; any wider unsigned type works too.
-    Instances are immutable; the cell index is computed lazily and cached.
+    ``num_ues + num_ens`` bits; any wider unsigned type works too, as both
+    views narrow labels to that type.  :meth:`cell_counts` is a file's bits
+    per label, one table of ``2^(num_ues + num_ens)`` entries, counted anew
+    on each call; :meth:`cell_indices` is the sorted index that bit-level
+    work needs, built lazily for every file and cached.  Instances are
+    immutable.
     """
 
     cfg: NetworkConfig
@@ -119,9 +123,31 @@ class PlacementRealization:
 
     def cell_indices(self, file_id: int) -> CellIndex:
         """One file's labels and bits in stable label order; each cell is one contiguous range."""
+        return self._cells[self._row(file_id)]
+
+    def cell_counts(self, file_id: int) -> np.ndarray:
+        """How many bits of one file carry each packed label, as int64.
+
+        ``bincount`` copies its input to intp, so labels are counted in pieces
+        of ``_LABEL_CHUNK_BITS`` bits, or of the table's ``2^(num_ues +
+        num_ens)`` entries if more: no int64 copy of a file's labels is made.
+        A label outside the network raises ValueError.
+        """
+        labels = self.bit_labels[self._row(file_id)]
+        size, label_type = 1 << (self.cfg.num_ues + self.cfg.num_ens), _label_type(self.cfg)
+        step = max(size, _LABEL_CHUNK_BITS)
+        table = np.zeros(size, dtype=np.int64)
+        for a in range(0, labels.size, step):
+            counts = np.bincount(labels[a : a + step].astype(label_type, copy=False), minlength=size)
+            if counts.size > size:
+                raise ValueError(f"file {file_id} holds a label outside the network: {counts.size - 1}")
+            table += counts
+        return table
+
+    def _row(self, file_id: int) -> int:
         if not 1 <= file_id <= self.cfg.num_files:
             raise ValueError(f"unknown file id: {file_id}")
-        return self._cells[file_id - 1]
+        return file_id - 1
 
 
 def sample_placement(

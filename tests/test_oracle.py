@@ -194,18 +194,23 @@ def test_array_oracle_matches_the_reference_loop(data):
     if data.draw(st.booleans()):
         demand = DemandVector(tuple(data.draw(st.permutations(range(1, nfiles + 1)))[:nr]))
     else:
-        demand = DemandVector(tuple(data.draw(st.lists(st.integers(1, nfiles), min_size=nr, max_size=nr))))
+        demands = data.draw(st.lists(st.integers(1, nfiles), min_size=nr, max_size=nr))
+        if data.draw(st.booleans()):
+            # Two users demand one file, which gets one count table.
+            demands[-1] = demands[0]
+        demand = DemandVector(tuple(demands))
     size = data.draw(st.integers(1, 3000))
     seed = data.draw(st.integers(0, 2**32 - 1))
     if data.draw(st.booleans()):
         placement = sample_placement(cfg, size, seed)
     else:
-        # Hand-built uint32 labels, drawn from a few labels or from all of
-        # them, whatever the cache fractions allow.
+        # Hand-built labels of any unsigned type wide enough, drawn from a
+        # few labels or from all of them, whatever the cache fractions allow.
         rng = np.random.default_rng(seed)
         top = 1 << (nt + nr)
         palette = rng.integers(0, top, data.draw(st.sampled_from([1, 3, top])))
-        labels = palette[rng.integers(0, palette.size, (nfiles, size))].astype(np.uint32)
+        label_type = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]))
+        labels = palette[rng.integers(0, palette.size, (nfiles, size))].astype(label_type)
         bits = rng.integers(0, 2, (nfiles, size), dtype=np.uint8)
         placement = PlacementRealization(cfg, size, None, labels, bits)
     schedule = build_schedule(cfg, demand, dof=data.draw(st.sampled_from([per_user_dof_default, _increasing_dof])))
@@ -283,15 +288,23 @@ def test_golden_micro_loads_match_hand_computation():
     assert report.per_group[GroupIndex(1, 1)].naive_fronthaul_bits == 2
 
 
-def _without_bits(placement):
-    """The same placement, its cell indices holding labels but no bits."""
-    bare = dataclasses.replace(placement)
-    vars(bare)["_cells"] = tuple(index._replace(bits=None) for index in placement._cells)
-    return bare
+def _fields(placement):
+    return placement.cfg, placement.file_size_bits, placement.seed, placement.bit_labels, placement.file_bits
+
+
+class _NoCellIndex(PlacementRealization):
+    """A placement whose sorted cell index may not be built."""
+
+    def cell_indices(self, file_id):
+        raise _IndexBuilt(file_id)
+
+
+class _IndexBuilt(Exception):
+    pass
 
 
 @pytest.mark.parametrize("source", ["sampled", "hand_built"])
-def test_default_report_reads_no_payload_bit(source):
+def test_default_report_builds_no_cell_index(source):
     if source == "sampled":
         cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
         placement, demand = sample_placement(cfg, 5000, seed=9), None
@@ -300,12 +313,33 @@ def test_default_report_reads_no_payload_bit(source):
         demand = DemandVector(tuple(doc["demand"]))
     schedule = build_schedule(cfg, demand)
     want = execute_schedule(placement, schedule.demand, schedule)
+    assert "_cells" not in vars(placement)
     assert want.fronthaul_bits > 0 and sum(want.access_bits_by_coop.values()) > 0
-    bare = _without_bits(placement)
+    bare = _NoCellIndex(*_fields(placement))
     assert execute_schedule(bare, schedule.demand, schedule).to_dict() == want.to_dict()
-    # Recorded payloads do read the bits.
-    with pytest.raises(TypeError):
+    # Recorded payloads do read the index.
+    with pytest.raises(_IndexBuilt):
         execute_schedule(bare, schedule.demand, schedule, record_payloads=True)
+    assert execute_schedule(placement, schedule.demand, schedule, record_payloads=True).payloads
+    assert "_cells" in vars(placement)
+
+
+class _SwappedCellIndex(PlacementRealization):
+    """A placement whose sorted cell index of each file is the next file's."""
+
+    def cell_indices(self, file_id):
+        return super().cell_indices(file_id % self.cfg.num_files + 1)
+
+
+def test_recorded_run_checks_the_cell_index_against_the_counts():
+    cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
+    placement = sample_placement(cfg, 5000, seed=9)
+    swapped = _SwappedCellIndex(*_fields(placement))
+    schedule = build_schedule(cfg)
+    want = execute_schedule(placement, schedule.demand, schedule)
+    assert execute_schedule(swapped, schedule.demand, schedule) == want
+    with pytest.raises(RuntimeError, match="cell counts disagree with the sorted cell index"):
+        execute_schedule(swapped, schedule.demand, schedule, record_payloads=True)
 
 
 # Fault injection: the oracle reads the plan's own structure, so a wrong plan

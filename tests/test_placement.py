@@ -419,6 +419,8 @@ def test_cell_index_matches_reference_partition(shape, data):
         placement = sample_placement(cfg, size, data.draw(st.integers(0, 2**32 - 1)))
     for f in range(cfg.num_files):
         index = placement.cell_indices(f + 1)
+        counts = placement.cell_counts(f + 1)
+        assert counts.shape == (1 << (cfg.num_ues + cfg.num_ens),) and counts.dtype == np.int64
         spans = 0
         for label in np.unique(placement.bit_labels[f]).tolist():
             # Reference: the cell's bit positions, read off the labels.
@@ -426,8 +428,31 @@ def test_cell_index_matches_reference_partition(shape, data):
             span = _span(index, label)
             assert np.array_equal(index.bits[span], placement.file_bits[f][ref])
             assert (index.labels[span] == label).all()
+            assert counts[label] == span.stop - span.start
             spans += span.stop - span.start
-        assert spans == size
+        assert spans == size == counts.sum()
+
+
+def test_cell_counts_add_up_over_pieces(monkeypatch):
+    cfg = make_cfg(nt=2, nr=2)
+    placement = sample_placement(cfg, 1000, seed=6)
+    want = [np.bincount(labels, minlength=16) for labels in placement.bit_labels]
+    # Pieces of 16 bits, the table's size, as counting never takes fewer.
+    monkeypatch.setattr(placement_mod, "_LABEL_CHUNK_BITS", 5)
+    for f, counts in enumerate(want):
+        assert np.array_equal(placement.cell_counts(f + 1), counts)
+
+
+def test_cell_counts_refuse_a_label_outside_the_network():
+    cfg = make_cfg(nt=2, nr=2)
+    labels = np.zeros((cfg.num_files, 8), dtype=np.uint16)
+    labels[1, 3] = 16
+    placement = PlacementRealization(cfg, 8, None, labels, np.zeros_like(labels, dtype=np.uint8))
+    assert placement.cell_counts(1).tolist() == [8] + [0] * 15
+    with pytest.raises(ValueError, match="file 2 holds a label outside the network: 16"):
+        placement.cell_counts(2)
+    with pytest.raises(ValueError, match="unknown file id"):
+        placement.cell_counts(cfg.num_files + 1)
 
 
 def test_cell_index_holds_no_bit_positions():
