@@ -359,7 +359,7 @@ def execute_schedule(
     # transmission order, then access in sub-message order.
     records: list[PayloadRecord] = [] if record_payloads else None
     if records is not None:
-        labels, bits = (np.concatenate(side) for side in zip(*map(placement.cell_indices, demand.demands)))
+        labels, cell_bits = (np.concatenate(side) for side in zip(*map(placement.cell_indices, demand.demands)))
         start = (tables.cumsum(axis=1) - tables)[user - 1, label]
         src, full = (user - 1) * file_size + start, count > 0
         ends = src[full], (src + count - 1)[full]
@@ -367,7 +367,7 @@ def execute_schedule(
             raise RuntimeError("cell counts disagree with the sorted cell index")
         xor = np.zeros(int(length.sum()), dtype=np.uint8)
         slot = np.arange(user.size) - (width.cumsum() - width)[msg_of]
-        _xor_ranges(xor, msg_at[msg_of], bits, src, count, slot)
+        _xor_ranges(xor, msg_at[msg_of], cell_bits, src, count, slot)
         fronthaul = np.zeros(int(payload_len.sum()), dtype=np.uint8)
         subs = piece_sub[sent]
         _xor_ranges(fronthaul, payload_at[tx_of[sent]], xor, sub_at[subs], sub_size[subs], position[sent])
@@ -380,18 +380,19 @@ def execute_schedule(
                     records.append(PayloadRecord("fronthaul", m, n, *tx, _hex(fronthaul[a : a + z]), z))
             for j, c, a, z in itertools.islice(access, sub_count):
                 if z:
-                    hexed = _hex(xor[a : a + z])
-                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), hexed, z))
+                    bits = _hex(xor[a : a + z])
+                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), bits, z))
 
     tau_a_emp = 0.0
     access_by_coop: dict[int, int] = {}
     per_group: dict[GroupIndex, GroupStats] = {}
-    columns = (group_fh, naive_fh, coded_fh, group_access, max_load)
-    for group, plan, row in zip(groups, plans, zip(*(column.tolist() for column in columns))):
-        access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + row[3]
+    # One Python int per group and column, in GroupStats' field order.
+    columns = zip(*(c.tolist() for c in (group_fh, naive_fh, coded_fh, group_access, max_load)))
+    for group, plan, (fh, naive_bits, coded_bits, access_bits, load) in zip(groups, plans, columns):
+        access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + access_bits
         # Summed in ascending (m, n) order, as the analytic breakdown is.
-        tau_a_emp += (row[4] / file_size) / plan.dof_value
-        per_group[group] = GroupStats(*row, plan.coop_level, plan.mode, plan.chosen_i)
+        tau_a_emp += (load / file_size) / plan.dof_value
+        per_group[group] = GroupStats(fh, naive_bits, coded_bits, access_bits, load, plan.coop_level, plan.mode, plan.chosen_i)
     fronthaul_total = int(group_fh.sum())
     return DecodeReport(
         per_ue_success=success,

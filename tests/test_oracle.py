@@ -288,10 +288,6 @@ def test_golden_micro_loads_match_hand_computation():
     assert report.per_group[GroupIndex(1, 1)].naive_fronthaul_bits == 2
 
 
-def _fields(placement):
-    return placement.cfg, placement.file_size_bits, placement.seed, placement.bit_labels, placement.file_bits
-
-
 class _NoCellIndex(PlacementRealization):
     """A placement whose sorted cell index may not be built."""
 
@@ -304,7 +300,7 @@ class _IndexBuilt(Exception):
 
 
 @pytest.mark.parametrize("source", ["sampled", "hand_built"])
-def test_default_report_builds_no_cell_index(source):
+def test_default_report_reads_no_payload_bit(source):
     if source == "sampled":
         cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
         placement, demand = sample_placement(cfg, 5000, seed=9), None
@@ -315,7 +311,8 @@ def test_default_report_builds_no_cell_index(source):
     want = execute_schedule(placement, schedule.demand, schedule)
     assert "_cells" not in vars(placement)
     assert want.fronthaul_bits > 0 and sum(want.access_bits_by_coop.values()) > 0
-    bare = _NoCellIndex(*_fields(placement))
+    # No file contents and no sorted cell index: the report reads counts only.
+    bare = _NoCellIndex(cfg, placement.file_size_bits, placement.seed, placement.bit_labels, None)
     assert execute_schedule(bare, schedule.demand, schedule).to_dict() == want.to_dict()
     # Recorded payloads do read the index.
     with pytest.raises(_IndexBuilt):
@@ -334,7 +331,7 @@ class _SwappedCellIndex(PlacementRealization):
 def test_recorded_run_checks_the_cell_index_against_the_counts():
     cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
     placement = sample_placement(cfg, 5000, seed=9)
-    swapped = _SwappedCellIndex(*_fields(placement))
+    swapped = _SwappedCellIndex(cfg, 5000, 9, placement.bit_labels, placement.file_bits)
     schedule = build_schedule(cfg)
     want = execute_schedule(placement, schedule.demand, schedule)
     assert execute_schedule(swapped, schedule.demand, schedule) == want
