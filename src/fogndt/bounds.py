@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dof import DofProvider, per_user_dof_default
 from .model import NetworkConfig, config_to_dict
-from .scheduler import _group_terms, _overflow_error, _row_table
+from .scheduler import _FACTOR_TABLES, _cache_factors, _group_terms, _overflow_error, _row_table
 
 CSV_HEADER = "n_t,n_r,mu_t,mu_r,r,tau_upper,tau_lower,gap,l1,l2,limit_inf_r"
 
@@ -63,22 +64,35 @@ def ndt_upper(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> fl
 
 
 def ndt_lower(cfg: NetworkConfig) -> tuple[float, int, int]:
-    """Converse bound with the maximizing user-subset sizes; ties to smaller l."""
+    """Converse bound with the maximizing user-subset sizes; ties to smaller l.
+
+    The fronthaul maximand ``l * (1-mu_t)**n_t * (1-mu_r)**l / r`` is scanned per point, its
+    powers read from the factor tables; the access maximum depends on ``mu_r`` and the shape
+    alone and is kept per value by :func:`_access_maximum`."""
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
-    mu_t, mu_r = cfg.mu_t, cfg.mu_r
+    qt = _cache_factors(cfg.mu_t, nt)[0][1]
+    ue_factors = _cache_factors(cfg.mu_r, nr)
     best_f = -math.inf
     best_l1 = 0
     for l in range(1, nr + 1):
-        value = l * (1.0 - mu_t) ** nt * (1.0 - mu_r) ** l / r
+        value = l * qt * ue_factors[nr - l][1] / r
         if value > best_f:
             best_f, best_l1 = value, l
+    best_a, best_l2 = _access_maximum(cfg.mu_r, nr, nt)
+    return best_f + best_a, best_l1, best_l2
+
+
+@lru_cache(maxsize=_FACTOR_TABLES, typed=True)
+def _access_maximum(mu_r: float, nr: int, nt: int) -> tuple[float, int]:
+    """The converse's access term ``max_l l * (1-mu_r)**l / min(l, n_t)`` and its first maximizer."""
+    ue_factors = _cache_factors(mu_r, nr)
     best_a = -math.inf
     best_l2 = 0
     for l in range(1, nr + 1):
-        value = l * (1.0 - mu_r) ** l / min(l, nt)
+        value = l * ue_factors[nr - l][1] / min(l, nt)
         if value > best_a:
             best_a, best_l2 = value, l
-    return best_f + best_a, best_l1, best_l2
+    return best_a, best_l2
 
 
 def _gap_ratio(cfg: NetworkConfig, upper: float, lower: float, total_f: float, total_a: float) -> float:
@@ -98,10 +112,15 @@ def gap(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
 
 def ndt_upper_limit_infinite_r(cfg: NetworkConfig, dof: DofProvider = per_user_dof_default) -> float:
     """Access-only delivery time left when the fronthaul cost vanishes."""
-    nr, mu_r = cfg.num_ues, cfg.mu_r
+    return _limit_infinite_r(dof, cfg.num_ens, cfg.num_ues, cfg.mu_r)
+
+
+@lru_cache(maxsize=_FACTOR_TABLES, typed=True)
+def _limit_infinite_r(dof: DofProvider, nt: int, nr: int, mu_r: float) -> float:
+    """The large-r limit, once per provider, shape and ``mu_r``: it does not depend on ``mu_t``."""
     total = 0.0
-    for m, (c_limit, d_full, _groups) in enumerate(_row_table(dof, cfg.num_ens, nr)):
-        total += c_limit * mu_r ** m * (1.0 - mu_r) ** (nr - m) / d_full
+    for (c_limit, d_full, _groups), (mr, qr) in zip(_row_table(dof, nt, nr), _cache_factors(mu_r, nr)):
+        total += c_limit * mr * qr / d_full
     return total
 
 

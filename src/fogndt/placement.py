@@ -299,7 +299,14 @@ def placement_to_replay(p: PlacementRealization) -> dict:
 
     When the realization was seeded, file contents are regenerated from the
     seed on load; hand-built realizations (seed None) embed the raw contents.
+    A label outside the network raises ValueError naming its file, before
+    any cell is written.
     """
+    top = (1 << (p.cfg.num_ues + p.cfg.num_ens)) - 1
+    for f, labels in enumerate(p.bit_labels, start=1):
+        lo, hi = labels.min(), labels.max()
+        if lo < 0 or hi > top:
+            raise ValueError(f"file {f} holds a label outside the network: {hi if hi > top else lo}")
     files = []
     for f in range(p.cfg.num_files):
         # Only replay needs bit positions, so the order is recomputed here.

@@ -141,24 +141,43 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
 # Row tables kept at once.  A table belongs to one (provider, shape) pair, and callers may
 # make a provider per call (a counting wrapper, a closure per example), so the memo is bounded.
 _ROW_TABLES = 128
+# Entries kept at once by each memo keyed by a cache fraction: the factor tables here, and
+# the converse's access maximum and the large-r limit in the bounds.  A grid of 9 fractions
+# over shapes 2..6 fills 45 factor tables and 225 access maxima.
+_FACTOR_TABLES = 1024
+
+
+@lru_cache(maxsize=_FACTOR_TABLES, typed=True)
+def _cache_factors(mu: float, k: int) -> tuple[tuple[float, float], ...]:
+    """``(mu**j, (1.0 - mu)**(k - j))`` for j = 0..k: the two factors of the fraction of a file
+    cached at exactly j given nodes of an axis of k, computed once per value.
+
+    ``typed`` keeps an int, a float and a numpy float of equal value apart, so each call reads
+    the types it would compute itself.  0.0 and -0.0 share a table: the only factor they
+    differ in is ``mu**j`` for odd j, and a subfile fraction it enters is a zero, which
+    :func:`_group_terms` skips and the limit adds to a positive total.
+    """
+    q = 1.0 - mu
+    return tuple((mu ** j, q ** (k - j)) for j in range(k + 1))
 
 
 @lru_cache(maxsize=_ROW_TABLES)
 def _row_table(dof: DofProvider, nt: int, nr: int) -> tuple:
     """Per m, ``(c_limit, d_full, groups)``: ``c_limit = C(n_r - 1, m)``, ``d_full = d(m, n_t)``
-    and one ``(group, n, c_access, rows)`` per n.  ``rows`` holds ``(i, c_load, d)``, with
-    ``d = d(m, n + i)``, per admissible i, ascending, except each i whose d is no larger than
-    a smaller kept i's: its load factor is no smaller either, and rounding is monotone, so
-    its total is never strictly smaller and the scan in ``_group_terms`` would not pick it.
-    The constant factor of each load is built here, once per shape and in a fixed operand
-    order.
+    and one ``(group, c_access, first, rest)`` per n, ascending.  ``first`` and the rows of
+    ``rest`` are ``(i, c_load, d)``, with ``d = d(m, n + i)``: ``first`` is the smallest
+    admissible i, and ``rest`` the larger ones, ascending, except each i whose d is no larger
+    than a smaller kept i's: its load factor is no smaller either, and rounding is monotone,
+    so its total is never strictly smaller and the scan in ``_group_terms`` would not pick
+    it.  Under the default DoF ``rest`` is empty when n_t < n_r and holds at most one row
+    otherwise.  The constant factor of each load is built here, once per shape and in a
+    fixed operand order.
 
     The provider is called once per (m, j), through :func:`fogndt.dof.dof_rows`: a DoF
     depends on the shape alone.  A value outside (0, 1] is a DofContractError, and a
-    provider that raises leaves no table behind.  The first row of each group is always
-    kept and turns the group's exact load factor into a double; ``c_access`` and
-    ``c_limit`` are never larger, so a shape whose factors exceed the double range fails
-    here alone, with a ConfigError.
+    provider that raises leaves no table behind.  The first row of each group turns the
+    group's exact load factor into a double; ``c_access`` and ``c_limit`` are never larger,
+    so a shape whose factors exceed the double range fails here alone, with a ConfigError.
     """
     table = []
     for m, dof_row in enumerate(dof_rows(dof, nt, nr)):
@@ -175,7 +194,7 @@ def _row_table(dof: DofProvider, nt: int, nr: int) -> tuple:
                     rows.append((i, b_load * min(1.0, i / (n + 1)), d))
                 except OverflowError:
                     raise ConfigError("shape", f"n_t={nt}, n_r={nr}: binomial factors overflow a double") from None
-            groups.append((GroupIndex(m, n), n, math.comb(nr - 1, m) * b_en, tuple(rows)))
+            groups.append((GroupIndex(m, n), math.comb(nr - 1, m) * b_en, rows[0], tuple(rows[1:])))
         table.append((math.comb(nr - 1, m), dof_row[nt - 1], tuple(groups)))
     return tuple(table)
 
@@ -185,36 +204,38 @@ def _group_terms(cfg: NetworkConfig, dof: DofProvider, plans: list | None = None
     caller has validated; into ``plans``, if given, each group's
     ``(group, f, chosen_i, load, tau_f, tau_a, dof_value)``.
 
-    ``load = c_load * f``, ``tau_f = load / r`` and ``tau_a = (c_access * f) / d``; the
-    first row is taken, and a later row replaces it only if its total is strictly
-    smaller, so ties go to the smaller i.  Groups with zero subfile fraction are skipped.
-    The accumulation order is part of the contract: the totals start from 0.0 and add the
-    groups in ascending (m, n) order, so re-summing the plans' times in that order gives
-    the same bits.  This one pass serves both the closed-form bound and the schedule
-    breakdown, which keeps the two bit-identical.
+    ``f = (mu_r**m * (1-mu_r)**(n_r-m)) * mu_t**n * (1-mu_t)**(n_t-n)``, its four powers read
+    from :func:`_cache_factors`; ``load = c_load * f``, ``tau_f = load / r`` and
+    ``tau_a = (c_access * f) / d``.  The group's first row is taken outright, and a row of
+    its rest replaces it only if its total is strictly smaller, so ties go to the smaller i.
+    Groups with zero subfile fraction are skipped.  The accumulation order is part of the
+    contract: the totals start from 0.0 and add the groups in ascending (m, n) order, so
+    re-summing the plans' times in that order gives the same bits.  This one pass serves
+    both the closed-form bound and the schedule breakdown, which keeps the two
+    bit-identical.
     """
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
-    mu_r, mu_t = cfg.mu_r, cfg.mu_t
-    pow_mr = [mu_r ** k for k in range(nr + 1)]
-    pow_qr = [(1.0 - mu_r) ** k for k in range(nr + 1)]
-    pow_mt = [mu_t ** k for k in range(nt + 1)]
-    pow_qt = [(1.0 - mu_t) ** k for k in range(nt + 1)]
+    en_factors = _cache_factors(cfg.mu_t, nt)
     total_f = 0.0
     total_a = 0.0
-    for m, (_c_limit, _d_full, groups) in enumerate(_row_table(dof, nt, nr)):
-        ue_part = pow_mr[m] * pow_qr[nr - m]
-        for group, n, c_access, rows in groups:
-            f = ue_part * pow_mt[n] * pow_qt[nt - n]
+    for (_c_limit, _d_full, groups), (mr, qr) in zip(_row_table(dof, nt, nr), _cache_factors(cfg.mu_r, nr)):
+        ue_part = mr * qr
+        for (group, c_access, first, rest), (mt, qt) in zip(groups, en_factors):
+            f = ue_part * mt * qt
             if f == 0.0:
                 continue
             access = c_access * f
-            best = None
-            for row in rows:
+            best = first
+            _i, c_load, d = first
+            best_f = c_load * f / r
+            best_a = access / d
+            best_total = best_f + best_a
+            for row in rest:
                 _i, c_load, d = row
                 tau_f = c_load * f / r
                 tau_a = access / d
                 total = tau_f + tau_a
-                if best is None or total < best_total:
+                if total < best_total:
                     best, best_total, best_f, best_a = row, total, tau_f, tau_a
             total_f += best_f
             total_a += best_a

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fogndt import bounds as bounds_mod
+from fogndt import scheduler as scheduler_mod
 from fogndt.bounds import (
     CSV_HEADER,
     bounds_report,
@@ -19,6 +23,7 @@ from fogndt.dof import DofContractError, per_user_dof_default
 from fogndt.model import ConfigError, NetworkConfig
 from fogndt.scheduler import build_schedule
 from conftest import make_cfg, random_config, reference_3x3_group_pairs
+from reference_bounds import reference_bounds_report
 
 
 def test_upper_zero_when_users_cache_everything():
@@ -274,3 +279,66 @@ def test_provider_value_outside_the_contract_is_refused(bad):
     for call in (bounds_report, lambda c, d: build_schedule(c, dof=d)):
         with pytest.raises(DofContractError, match=r"outside \(0, 1\] at \(m=1, j=2, n_t=3, n_r=3\)"):
             call(cfg, provider)
+
+
+# Cache fractions at the edges of the double range and of [0, 1], with int and
+# signed-zero spellings, and fronthaul scalings down to ones that overflow.
+_EDGE_MU = (0, 1, 0.0, -0.0, 1.0, 5e-324, 1e-300, 1e-9, 0.1, 0.3, 0.5, 0.9, 1 - 1e-16)
+_EDGE_R = (5e-324, 1e-310, 1e-300, 1e-200, 1e-3, 1.0, 3, 100.0, math.inf)
+
+
+def _step_dof(m, j, cfg):
+    return 1.0 if j >= 3 else 0.5
+
+
+def _outcome(evaluate, cfg, dof):
+    """Every field of a report by repr, and its CSV row; or the refusal's field and message."""
+    try:
+        report = evaluate(cfg, dof)
+    except ConfigError as exc:
+        return "refused", exc.field, str(exc)
+    return tuple(repr(getattr(report, f.name)) for f in fields(report)) + (report.to_csv_row(),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(
+            st.integers(2, 6),
+            st.integers(2, 6),
+            st.one_of(st.sampled_from(_EDGE_MU), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from(_EDGE_MU), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from(_EDGE_R), st.floats(5e-324, 1e300)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    dof=st.sampled_from([per_user_dof_default, _step_dof]),
+)
+def test_bounds_equal_the_point_by_point_reference(points, dof):
+    # The memoized factors, converse access maximum and limit give every bit
+    # the per-point evaluation gives, whatever the memos hold from the points
+    # drawn before; and the schedule breakdown keeps the upper bound's bits.
+    for nt, nr, mu_t, mu_r, r in points:
+        cfg = NetworkConfig(nt, nr, nr, mu_t, mu_r, r)
+        got = _outcome(bounds_report, cfg, dof)
+        assert got == _outcome(reference_bounds_report, cfg, dof)
+        if got[0] != "refused":
+            assert repr(build_schedule(cfg, dof=dof).breakdown.total) == got[1]
+
+
+def test_memos_keep_providers_and_spellings_apart():
+    # On one shape, two providers alternate, and so do int, float, numpy and
+    # signed-zero spellings of each cache fraction: every report equals the
+    # reference's, whichever spelling filled a memo first.
+    spellings = (np.float64(0.5), 0.5, 0, -0.0, 0.0, 1, 1.0, np.float64(1.0))
+    for _ in range(2):
+        for dof in (per_user_dof_default, _step_dof):
+            for mu_t in spellings:
+                for mu_r in spellings:
+                    for r in (0.5, math.inf):
+                        cfg = NetworkConfig(4, 3, 3, mu_t, mu_r, r)
+                        assert _outcome(bounds_report, cfg, dof) == _outcome(reference_bounds_report, cfg, dof)
+    for memo in (scheduler_mod._cache_factors, scheduler_mod._row_table, bounds_mod._access_maximum,
+                 bounds_mod._limit_infinite_r):
+        assert memo.cache_info().maxsize is not None

@@ -455,6 +455,21 @@ def test_cell_counts_refuse_a_label_outside_the_network():
         placement.cell_counts(cfg.num_files + 1)
 
 
+def test_replay_refuses_a_label_outside_the_network():
+    # Such a label must not reach the document: unpack_label keeps only the
+    # network's bits (16 and 17 of a 2x2 network would read as 0 and 1), and
+    # narrowing a wider label type wraps it (256 would read as 0).
+    cfg = make_cfg(nt=2, nr=2)
+    for labels, file_id, bad in (
+        (np.array([[0, 0, 0, 0], [16, 17, 0, 1]], dtype=np.uint8), 2, 17),
+        (np.array([[0, 0, 0, 256], [0, 1, 2, 3]], dtype=np.uint16), 1, 256),
+        (np.array([[0, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64), 2, -1),
+    ):
+        placement = PlacementRealization(cfg, 4, None, labels, np.zeros(labels.shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"^file {file_id} holds a label outside the network: {bad}$"):
+            placement_to_replay(placement)
+
+
 def test_cell_index_holds_no_bit_positions():
     # A file's index is its labels and bits, nothing per bit beside them.
     for cfg in (make_cfg(nt=2, nr=2), make_cfg(nt=5, nr=5), make_cfg(nt=9, nr=9)):
