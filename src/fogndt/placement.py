@@ -34,8 +34,11 @@ REPLAY_FORMAT = "fogndt-placement/1"
 
 
 def _label_type(cfg: NetworkConfig) -> np.dtype:
-    """The narrowest unsigned type that holds every packed label of ``cfg``."""
-    return np.min_scalar_type((1 << (cfg.num_ues + cfg.num_ens)) - 1)
+    """The narrowest unsigned type that holds every packed label of ``cfg``; ValueError over the cap."""
+    nodes = cfg.num_ues + cfg.num_ens
+    if nodes > _MAX_PACKED_NODES:
+        raise ValueError(f"at most {_MAX_PACKED_NODES} nodes supported, got {nodes}")
+    return np.min_scalar_type((1 << nodes) - 1)
 
 
 def fractional_size(m: int, n: int, cfg: NetworkConfig) -> float:
@@ -79,21 +82,14 @@ class CellIndex(NamedTuple):
     bits: np.ndarray
 
 
-def _label_order(labels: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A file's labels as keys of the narrowest label type, and their stable argsort."""
-    # Narrow keys order as wider ones do, and numpy radix-sorts 8- and 16-bit keys.
-    keys = labels.astype(_label_type(cfg), copy=False)
-    return keys, np.argsort(keys, kind="stable")
-
-
-def _cell_index(labels: np.ndarray, bits: np.ndarray, cfg: NetworkConfig) -> CellIndex:
+def _cell_index(labels: np.ndarray, bits: np.ndarray) -> CellIndex:
     """One file's labels and bits in stable label order.
 
     Built in its own frame, so that a file's int64 argsort output is freed
     before the next file's is made.
     """
-    keys, order = _label_order(labels, cfg)
-    return CellIndex(keys[order], bits[order])
+    order = np.argsort(labels, kind="stable")
+    return CellIndex(labels[order], bits[order])
 
 
 @dataclass(frozen=True)
@@ -101,25 +97,41 @@ class PlacementRealization:
     """Per-bit cache labels plus the file contents they apply to.
 
     ``bit_labels[f, b]`` is the packed label of bit ``b`` of file ``f + 1``
-    and ``file_bits[f, b]`` the bit value itself.  Sampled and replayed
-    realizations store labels in the narrowest unsigned type that holds
-    ``num_ues + num_ens`` bits; any wider unsigned type works too, as both
-    views narrow labels to that type.  :meth:`cell_counts` is a file's bits
-    per label, one table of ``2^(num_ues + num_ens)`` entries, counted anew
-    on each call; :meth:`cell_indices` is the sorted index that bit-level
-    work needs, built lazily for every file and cached.  Instances are
-    immutable.
+    and ``file_bits[f, b]`` the bit value itself (None: labels alone).
+    Construction is the one check of the data: both arrays have shape
+    ``(num_files, file_size_bits)``, labels are integers in ``[0,
+    2^(num_ues + num_ens))`` (else ValueError naming the first bad file and
+    its label), and they are stored in ``_label_type(cfg)``, so readers trust
+    them.  :meth:`cell_counts` is a file's bits per label, one table of
+    ``2^(num_ues + num_ens)`` entries, counted anew on each call;
+    :meth:`cell_indices` is the sorted index that bit-level work needs,
+    built lazily for every file and cached.  Instances are immutable.
     """
 
     cfg: NetworkConfig
     file_size_bits: int
     seed: int | None
     bit_labels: np.ndarray
-    file_bits: np.ndarray
+    file_bits: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        label_type = _label_type(self.cfg)
+        shape, labels = (self.cfg.num_files, self.file_size_bits), np.asarray(self.bit_labels)
+        if labels.dtype.kind not in "iu" or labels.shape != shape or not labels.size:
+            raise ValueError(f"bit_labels must be nonempty integers shaped {shape}, got {labels.dtype} {labels.shape}")
+        if self.file_bits is not None and np.shape(self.file_bits) != shape:
+            raise ValueError(f"file_bits must have shape {shape}, got {np.shape(self.file_bits)}")
+        top = (1 << (self.cfg.num_ues + self.cfg.num_ens)) - 1
+        lo, hi = labels.min(axis=1), labels.max(axis=1)
+        bad = (lo < 0) | (hi > top)
+        if bad.any():
+            f = int(bad.argmax())
+            raise ValueError(f"file {f + 1} holds a label outside the network: {hi[f] if hi[f] > top else lo[f]}")
+        object.__setattr__(self, "bit_labels", labels.astype(label_type, copy=False))
 
     @cached_property
     def _cells(self) -> tuple[CellIndex, ...]:
-        return tuple(_cell_index(labels, bits, self.cfg) for labels, bits in zip(self.bit_labels, self.file_bits))
+        return tuple(_cell_index(labels, bits) for labels, bits in zip(self.bit_labels, self.file_bits))
 
     def cell_indices(self, file_id: int) -> CellIndex:
         """One file's labels and bits in stable label order; each cell is one contiguous range."""
@@ -131,17 +143,14 @@ class PlacementRealization:
         ``bincount`` copies its input to intp, so labels are counted in pieces
         of ``_LABEL_CHUNK_BITS`` bits, or of the table's ``2^(num_ues +
         num_ens)`` entries if more: no int64 copy of a file's labels is made.
-        A label outside the network raises ValueError.
+        Construction has put every label inside the table.
         """
         labels = self.bit_labels[self._row(file_id)]
-        size, label_type = 1 << (self.cfg.num_ues + self.cfg.num_ens), _label_type(self.cfg)
+        size = 1 << (self.cfg.num_ues + self.cfg.num_ens)
         step = max(size, _LABEL_CHUNK_BITS)
         table = np.zeros(size, dtype=np.int64)
         for a in range(0, labels.size, step):
-            counts = np.bincount(labels[a : a + step].astype(label_type, copy=False), minlength=size)
-            if counts.size > size:
-                raise ValueError(f"file {file_id} holds a label outside the network: {counts.size - 1}")
-            table += counts
+            table += np.bincount(labels[a : a + step], minlength=size)
         return table
 
     def _row(self, file_id: int) -> int:
@@ -164,14 +173,11 @@ def sample_placement(
     """
     file_size_bits = _exact_int(file_size_bits, "file_size_bits", "a positive integer", 1)
     seed = _exact_int(seed, "seed", "a non-negative integer", 0)
-    if cfg.num_ues + cfg.num_ens > _MAX_PACKED_NODES:
-        raise ValueError(
-            f"at most {_MAX_PACKED_NODES} nodes supported, got {cfg.num_ues + cfg.num_ens}"
-        )
+    label_type = _label_type(cfg)
     content_ss, label_ss = np.random.SeedSequence(seed).spawn(2)
     try:
         file_bits = np.empty((cfg.num_files, file_size_bits), dtype=np.uint8)
-        labels = np.zeros((cfg.num_files, file_size_bits), dtype=_label_type(cfg))
+        labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
     except MemoryError:
         raise ValueError(f"file_size_bits too large to allocate: {file_size_bits}") from None
     total = labels.size
@@ -299,19 +305,12 @@ def placement_to_replay(p: PlacementRealization) -> dict:
 
     When the realization was seeded, file contents are regenerated from the
     seed on load; hand-built realizations (seed None) embed the raw contents.
-    A label outside the network raises ValueError naming its file, before
-    any cell is written.
     """
-    top = (1 << (p.cfg.num_ues + p.cfg.num_ens)) - 1
-    for f, labels in enumerate(p.bit_labels, start=1):
-        lo, hi = labels.min(), labels.max()
-        if lo < 0 or hi > top:
-            raise ValueError(f"file {f} holds a label outside the network: {hi if hi > top else lo}")
     files = []
-    for f in range(p.cfg.num_files):
+    for f, labels in enumerate(p.bit_labels):
         # Only replay needs bit positions, so the order is recomputed here.
-        keys, order = _label_order(p.bit_labels[f], p.cfg)
-        sorted_keys = keys[order]
+        order = np.argsort(labels, kind="stable")
+        sorted_keys = labels[order]
         cuts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist(), order.size]
         cells = []
         for a, b in zip(cuts, cuts[1:]):
@@ -375,15 +374,14 @@ def _placement_from_replay(doc: dict) -> PlacementRealization:
     if len(seen) != cfg.num_files:
         missing = sorted(set(range(1, cfg.num_files + 1)) - seen)
         raise ValueError(f"replay has no entry for files {missing}")
+    file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
     if seed is not None:
         content_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
         _draw_contents(content_ss, 0, file_bits.reshape(-1))
     else:
         blobs = doc["file_bits_hex"]
         if len(blobs) != cfg.num_files:
             raise ValueError(f"file_bits_hex holds {len(blobs)} files, expected {cfg.num_files}")
-        file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
         for f, blob in enumerate(blobs):
             raw = np.frombuffer(bytes.fromhex(blob), dtype=np.uint8)
             if raw.size != (size + 7) // 8:

@@ -251,7 +251,6 @@ class GroupPlan:
 
     index: GroupIndex
     chosen_i: int
-    mode: str
     size_fraction: float
     fronthaul_load: float
     tau_f: float
@@ -262,6 +261,10 @@ class GroupPlan:
     @property
     def coop_level(self) -> int:
         return self.index.n + self.chosen_i
+
+    @property
+    def mode(self) -> str:
+        return fronthaul_mode(self.index.n, self.chosen_i)
 
     @cached_property
     def messages(self) -> tuple[CodedMessage, ...]:
@@ -416,7 +419,6 @@ def build_schedule(
         group: GroupPlan(
             index=group,
             chosen_i=i_star,
-            mode=fronthaul_mode(group.n, i_star),
             size_fraction=f,
             fronthaul_load=load,
             tau_f=tau_f,

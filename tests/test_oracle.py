@@ -14,7 +14,7 @@ from fogndt.dof import per_user_dof_default
 from fogndt.model import DemandVector, GroupIndex, config_from_dict
 from fogndt.oracle import DecodeFailure, execute_schedule
 from fogndt.placement import PlacementRealization, pack_label, sample_placement
-from fogndt.scheduler import NAIVE_MULTICAST, build_schedule
+from fogndt.scheduler import build_schedule
 from conftest import make_cfg
 from reference_oracle import reference_execute_schedule
 
@@ -436,7 +436,7 @@ def test_coded_cost_counts_missing_sub_messages_as_empty():
     # one that user 1 lacks.  Each costs nothing, as in the reference.
     cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
     schedule = build_schedule(cfg)
-    plan = dataclasses.replace(schedule.groups[GroupIndex(0, 1)], chosen_i=2, mode=NAIVE_MULTICAST)
+    plan = dataclasses.replace(schedule.groups[GroupIndex(0, 1)], chosen_i=2)
     dropped = {((1,), (2,)), ((1,), (3,)), ((2,), (3,))}
     vars(plan)["messages"] = tuple(msg for msg in plan.messages if msg not in dropped)
     vars(plan)["fronthaul"] = tuple(tx for tx in plan.fronthaul if (tx.ue_group, *tx.cache_sets) not in dropped)

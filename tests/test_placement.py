@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogndt import placement as placement_mod
+from fogndt.model import config_to_dict
 from fogndt.placement import (
     _LABEL_CHUNK_BITS,
+    REPLAY_FORMAT,
     _draw_contents,
+    _label_type,
     PlacementRealization,
     fractional_size,
     pack_label,
@@ -444,30 +447,105 @@ def test_cell_counts_add_up_over_pieces(monkeypatch):
 
 
 def test_cell_counts_refuse_a_label_outside_the_network():
+    # Refused at construction, so no count table ever holds it.
     cfg = make_cfg(nt=2, nr=2)
     labels = np.zeros((cfg.num_files, 8), dtype=np.uint16)
-    labels[1, 3] = 16
     placement = PlacementRealization(cfg, 8, None, labels, np.zeros_like(labels, dtype=np.uint8))
     assert placement.cell_counts(1).tolist() == [8] + [0] * 15
-    with pytest.raises(ValueError, match="file 2 holds a label outside the network: 16"):
-        placement.cell_counts(2)
     with pytest.raises(ValueError, match="unknown file id"):
         placement.cell_counts(cfg.num_files + 1)
+    labels[1, 3] = 16
+    with pytest.raises(ValueError, match="file 2 holds a label outside the network: 16"):
+        PlacementRealization(cfg, 8, None, labels, np.zeros_like(labels, dtype=np.uint8))
 
 
 def test_replay_refuses_a_label_outside_the_network():
-    # Such a label must not reach the document: unpack_label keeps only the
-    # network's bits (16 and 17 of a 2x2 network would read as 0 and 1), and
-    # narrowing a wider label type wraps it (256 would read as 0).
+    # Such a label must not reach the document, so construction refuses it:
+    # unpack_label keeps only the network's bits (16 and 17 of a 2x2 network
+    # would read as 0 and 1), and narrowing a wider label type wraps it (256
+    # would read as 0).
     cfg = make_cfg(nt=2, nr=2)
     for labels, file_id, bad in (
         (np.array([[0, 0, 0, 0], [16, 17, 0, 1]], dtype=np.uint8), 2, 17),
         (np.array([[0, 0, 0, 256], [0, 1, 2, 3]], dtype=np.uint16), 1, 256),
         (np.array([[0, 0, 0, 0], [0, -1, 0, 0]], dtype=np.int64), 2, -1),
     ):
-        placement = PlacementRealization(cfg, 4, None, labels, np.zeros(labels.shape, dtype=np.uint8))
         with pytest.raises(ValueError, match=f"^file {file_id} holds a label outside the network: {bad}$"):
-            placement_to_replay(placement)
+            PlacementRealization(cfg, 4, None, labels, np.zeros(labels.shape, dtype=np.uint8))
+
+
+_LABEL_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64, np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_construction_checks_and_narrows_labels(data):
+    # Labels of any integer type wide enough for the network: out-of-range
+    # ones (top + 1, 256 on a 2x2 network, -1) and misshapen arrays are
+    # refused at construction, naming the label as given; in-range ones are
+    # stored narrow, and read as the same labels built narrow.
+    shape = data.draw(st.sampled_from([(2, 2), (3, 3), (5, 5), (9, 9)]))
+    cfg = make_cfg(nt=shape[0], nr=shape[1])
+    top = (1 << (cfg.num_ues + cfg.num_ens)) - 1
+    size = data.draw(st.integers(1, 40))
+    label_type = data.draw(st.sampled_from([t for t in _LABEL_TYPES if np.iinfo(t).max >= top]))
+    count = cfg.num_files * size
+    values = data.draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    labels = np.array(values, dtype=label_type).reshape(cfg.num_files, size)
+    file_bits = (np.arange(count) % 3 == 0).astype(np.uint8).reshape(labels.shape)
+    info = np.iinfo(label_type)
+    outside = [v for v in (top + 1, 256, -1, int(info.max)) if (v > top or v < 0) and info.min <= v <= info.max]
+    fault = data.draw(st.sampled_from(["none", "labels_shape", "bits_shape", "float"] + ["label"] * bool(outside)))
+    if fault == "label":
+        spots = st.tuples(st.integers(0, cfg.num_files - 1), st.integers(0, size - 1))
+        for f, b in data.draw(st.lists(spots, min_size=1, max_size=3)):
+            labels[f, b] = data.draw(st.sampled_from(outside))
+        f = int(np.flatnonzero(((labels < 0) | (labels > top)).any(axis=1))[0])
+        bad = int(labels[f].max()) if labels[f].max() > top else int(labels[f].min())
+        with pytest.raises(ValueError, match=f"^file {f + 1} holds a label outside the network: {bad}$"):
+            PlacementRealization(cfg, size, None, labels, file_bits)
+        return
+    misshapen = [labels[1:], labels.reshape(-1), np.hstack([labels, labels[:, :1]]), labels[:, :0]]
+    if fault == "labels_shape":
+        with pytest.raises(ValueError, match="^bit_labels must be nonempty integers shaped"):
+            PlacementRealization(cfg, size, None, data.draw(st.sampled_from(misshapen)), file_bits)
+        return
+    if fault == "bits_shape":
+        with pytest.raises(ValueError, match="^file_bits must have shape"):
+            PlacementRealization(cfg, size, None, labels, data.draw(st.sampled_from(misshapen)).astype(np.uint8))
+        return
+    if fault == "float":
+        with pytest.raises(ValueError, match="^bit_labels must be nonempty integers shaped"):
+            PlacementRealization(cfg, size, None, labels.astype(float), file_bits)
+        return
+    wide = PlacementRealization(cfg, size, None, labels, file_bits)
+    narrow = PlacementRealization(cfg, size, None, labels.astype(_label_type(cfg)), file_bits)
+    assert wide.bit_labels.dtype == _label_type(cfg) and np.array_equal(wide.bit_labels, labels)
+    for f in range(1, cfg.num_files + 1):
+        assert np.array_equal(wide.cell_counts(f), narrow.cell_counts(f))
+        for got, want in zip(wide.cell_indices(f), narrow.cell_indices(f)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert placement_to_replay(wide) == placement_to_replay(narrow)
+
+
+@pytest.mark.parametrize("size", [4, 1 << 62], ids=["small", "unallocatable"])
+def test_replay_refuses_more_nodes_than_labels_pack_before_allocating(size):
+    # A 32-node network, whose count table would hold 2^32 entries.  2^62
+    # bits per file cannot be allocated at all, so a check made after the
+    # label array would report that instead.
+    cfg = make_cfg(nt=16, nr=16)
+    cell = {"ues": [], "ens": [], "count": size, "ranges": [[0, size]]}
+    doc = {
+        "format": REPLAY_FORMAT,
+        "seed": 0,
+        "config": config_to_dict(cfg),
+        "file_size_bits": size,
+        "files": [{"file": f, "cells": [cell]} for f in range(1, cfg.num_files + 1)],
+    }
+    with pytest.raises(ValueError, match="^at most 30 nodes supported, got 32$"):
+        placement_from_replay(doc)
+    with pytest.raises(ValueError, match="^at most 30 nodes supported, got 32$"):
+        sample_placement(cfg, size, 0)
 
 
 def test_cell_index_holds_no_bit_positions():
