@@ -6,7 +6,9 @@ inclusion probabilities ``mu_r`` (users) and ``mu_t`` (edge nodes), so each
 cell (the bits of one file sharing one label) is a Bernoulli draw whose
 expected fraction is the closed product form returned by
 :func:`fractional_size`.  Cache-size budgets therefore hold in expectation
-rather than per realization.
+rather than per realization.  Only the labels decide a delivery's cost, so a
+seeded realization holds its labels alone and draws its file contents from
+the seed when they are first read.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import itertools
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
@@ -27,7 +29,7 @@ from .model import NetworkConfig, config_from_dict, config_to_dict, short_repr
 _MAX_PACKED_NODES = 30
 
 # Bits per block of label and content draws, which bounds each sampling
-# thread's scratch to about a MB per side, and of labels counted at once.
+# thread's scratch to about a MB, and of labels counted at once.
 _LABEL_CHUNK_BITS = 1 << 15
 
 REPLAY_FORMAT = "fogndt-placement/1"
@@ -82,45 +84,45 @@ class CellIndex(NamedTuple):
     bits: np.ndarray
 
 
-def _cell_index(labels: np.ndarray, bits: np.ndarray) -> CellIndex:
-    """One file's labels and bits in stable label order.
-
-    Built in its own frame, so that a file's int64 argsort output is freed
-    before the next file's is made.
-    """
-    order = np.argsort(labels, kind="stable")
-    return CellIndex(labels[order], bits[order])
-
-
 @dataclass(frozen=True)
 class PlacementRealization:
     """Per-bit cache labels plus the file contents they apply to.
 
     ``bit_labels[f, b]`` is the packed label of bit ``b`` of file ``f + 1``
-    and ``file_bits[f, b]`` the bit value itself (None: labels alone).
-    Construction is the one check of the data: both arrays have shape
-    ``(num_files, file_size_bits)``, labels are integers in ``[0,
-    2^(num_ues + num_ens))`` (else ValueError naming the first bad file and
-    its label), and they are stored in ``_label_type(cfg)``, so readers trust
-    them.  :meth:`cell_counts` is a file's bits per label, one table of
-    ``2^(num_ues + num_ens)`` entries, counted anew on each call;
-    :meth:`cell_indices` is the sorted index that bit-level work needs,
-    built lazily for every file and cached.  Instances are immutable.
+    and ``file_bits[f, b]`` the bit value itself.  Contents have one source:
+    a seeded placement is built without them and draws them from its seed
+    when ``file_bits`` is first read; a hand-built one (seed None) holds the
+    ``contents`` it is given, or labels alone (None).  Construction is the
+    one check of the data: both arrays have shape ``(num_files,
+    file_size_bits)``, labels are integers in ``[0, 2^(num_ues + num_ens))``
+    (else ValueError naming the first bad file and its label) stored in
+    ``_label_type(cfg)``, and contents are 0s and 1s stored as uint8, so
+    readers trust them.  :meth:`cell_counts` is a file's bits per label, one
+    table of ``2^(num_ues + num_ens)`` entries, counted anew on each call;
+    :meth:`cell_indices` is a file's sorted index for bit-level work, built
+    when first asked for and cached.  Instances are immutable.
     """
 
     cfg: NetworkConfig
     file_size_bits: int
     seed: int | None
     bit_labels: np.ndarray
-    file_bits: np.ndarray | None
+    contents: InitVar[np.ndarray | None]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, contents: np.ndarray | None) -> None:
         label_type = _label_type(self.cfg)
         shape, labels = (self.cfg.num_files, self.file_size_bits), np.asarray(self.bit_labels)
         if labels.dtype.kind not in "iu" or labels.shape != shape or not labels.size:
             raise ValueError(f"bit_labels must be nonempty integers shaped {shape}, got {labels.dtype} {labels.shape}")
-        if self.file_bits is not None and np.shape(self.file_bits) != shape:
-            raise ValueError(f"file_bits must have shape {shape}, got {np.shape(self.file_bits)}")
+        if contents is not None:
+            if self.seed is not None:
+                raise ValueError("a seeded placement draws its file_bits from the seed; pass None")
+            bits = np.asarray(contents)
+            if bits.shape != shape:
+                raise ValueError(f"file_bits must have shape {shape}, got {bits.shape}")
+            if bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1:
+                raise ValueError(f"file_bits must hold only 0 and 1, got {bits.dtype} from {bits.min()} to {bits.max()}")
+            object.__setattr__(self, "file_bits", bits.astype(np.uint8, copy=False))
         top = (1 << (self.cfg.num_ues + self.cfg.num_ens)) - 1
         lo, hi = labels.min(axis=1), labels.max(axis=1)
         bad = (lo < 0) | (hi > top)
@@ -130,12 +132,24 @@ class PlacementRealization:
         object.__setattr__(self, "bit_labels", labels.astype(label_type, copy=False))
 
     @cached_property
-    def _cells(self) -> tuple[CellIndex, ...]:
-        return tuple(_cell_index(labels, bits) for labels, bits in zip(self.bit_labels, self.file_bits))
+    def file_bits(self) -> np.ndarray:
+        """The contents, uint8 0s and 1s; ValueError for a placement of labels alone."""
+        if self.seed is None:
+            raise ValueError("placement holds labels only: it has no file_bits")
+        return _draw_contents(self.seed, self.bit_labels.shape)
+
+    @cached_property
+    def _cells(self) -> dict[int, CellIndex]:
+        return {}
 
     def cell_indices(self, file_id: int) -> CellIndex:
         """One file's labels and bits in stable label order; each cell is one contiguous range."""
-        return self._cells[self._row(file_id)]
+        row = self._row(file_id)
+        if row not in self._cells:
+            labels = self.bit_labels[row]
+            order = np.argsort(labels, kind="stable")
+            self._cells[row] = CellIndex(labels[order], self.file_bits[row][order])
+        return self._cells[row]
 
     def cell_counts(self, file_id: int) -> np.ndarray:
         """How many bits of one file carry each packed label, as int64.
@@ -164,50 +178,37 @@ def sample_placement(
 ) -> PlacementRealization:
     """Draw one placement realization, deterministic in (cfg, file_size_bits, seed).
 
-    File contents and labels come from two independent streams spawned from
-    the seed, so a realization replayed from its serialized cell layout can
-    regenerate identical file contents without re-drawing labels.  Both
-    streams are read by position, so the draw is split over the CPUs the
-    process may run on, at most one per ``_LABEL_CHUNK_BITS`` bits, without
-    changing a byte.  ``_workers`` sets the split, for tests.
+    Only labels are drawn here: contents and labels come from two streams
+    spawned from the seed, and the contents are drawn on their first read,
+    by a sampled or a replayed realization alike.  The label stream is read
+    by position, so the draw is split over the CPUs the process may run on,
+    at most one per ``_LABEL_CHUNK_BITS`` bits, without changing a byte.
+    ``_workers`` sets the split, for tests.
     """
     file_size_bits = _exact_int(file_size_bits, "file_size_bits", "a positive integer", 1)
     seed = _exact_int(seed, "seed", "a non-negative integer", 0)
     label_type = _label_type(cfg)
-    content_ss, label_ss = np.random.SeedSequence(seed).spawn(2)
+    _, label_ss = np.random.SeedSequence(seed).spawn(2)
     try:
-        file_bits = np.empty((cfg.num_files, file_size_bits), dtype=np.uint8)
         labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
     except MemoryError:
         raise ValueError(f"file_size_bits too large to allocate: {file_size_bits}") from None
     total = labels.size
     workers = _workers or max(1, min(_cpu_count(), total // _LABEL_CHUNK_BITS))
-    # Shares of the flat (file, bit) space start at multiples of 8 bits,
-    # where the content stream can be entered.
-    cuts = [total * w // workers // 8 * 8 for w in range(workers)] + [total]
+    cuts = [total * w // workers for w in range(workers)] + [total]
     _run_joined(
-        [
-            partial(_draw_share, cfg, content_ss, label_ss, labels, file_bits, start, stop)
-            for start, stop in zip(cuts, cuts[1:])
-        ]
+        [partial(_draw_share, cfg, label_ss, labels, start, stop) for start, stop in zip(cuts, cuts[1:])]
     )
-    return PlacementRealization(cfg, file_size_bits, seed, labels, file_bits)
+    return PlacementRealization(cfg, file_size_bits, seed, labels, None)
 
 
 def _draw_share(
-    cfg: NetworkConfig,
-    content_ss: np.random.SeedSequence,
-    label_ss: np.random.SeedSequence,
-    labels: np.ndarray,
-    file_bits: np.ndarray,
-    start: int,
-    stop: int,
+    cfg: NetworkConfig, label_ss: np.random.SeedSequence, labels: np.ndarray, start: int, stop: int
 ) -> None:
-    """Contents and labels of the flat (file, bit) positions [start, stop).
+    """Labels of the flat (file, bit) positions [start, stop).
 
     Both sides of a bit are drawn in one share, since both OR into its label.
     """
-    _draw_contents(content_ss, start, file_bits.reshape(-1)[start:stop])
     size, label_type = labels.shape[1], labels.dtype
     per_file = size * (cfg.num_ues + cfg.num_ens)
     bitgen = np.random.PCG64(label_ss)
@@ -234,20 +235,22 @@ def _draw_share(
                     chunk |= hits[:, k].astype(label_type) << label_type.type(shift + k)
 
 
-def _draw_contents(content_ss: np.random.SeedSequence, start: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the content bits at flat positions ``start``.., ``start`` a multiple of 8.
+def _draw_contents(seed: int, shape: tuple[int, int]) -> np.ndarray:
+    """The file contents of the placement seeded with ``seed``, from the first stream it spawns.
 
     Content bit i is the top bit of byte i of the content stream's raw 64-bit
-    outputs read little-endian, which is what ``Generator.integers(0, 2,
-    dtype=np.uint8)`` draws; unlike that call, it can be entered at any
-    multiple of 8 bits.
+    outputs read little-endian: the bytes ``Generator.integers(0, 2,
+    dtype=np.uint8)`` draws, at a fraction of its cost.
     """
+    content_ss, _ = np.random.SeedSequence(seed).spawn(2)
     bitgen = np.random.PCG64(content_ss)
-    bitgen.advance(start // 8)
-    for a in range(0, out.size, _LABEL_CHUNK_BITS):
-        piece = out[a : a + _LABEL_CHUNK_BITS]
+    out = np.empty(shape, dtype=np.uint8)
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, _LABEL_CHUNK_BITS):
+        piece = flat[a : a + _LABEL_CHUNK_BITS]
         raw = bitgen.random_raw(-(-piece.size // 8)).astype("<u8", copy=False).view(np.uint8)
         np.right_shift(raw[: piece.size], 7, out=piece)
+    return out
 
 
 def _run_joined(tasks: list) -> None:
@@ -304,7 +307,8 @@ def placement_to_replay(p: PlacementRealization) -> dict:
     """JSON-ready replay form: cells as label -> count plus bit ranges.
 
     When the realization was seeded, file contents are regenerated from the
-    seed on load; hand-built realizations (seed None) embed the raw contents.
+    seed on load; hand-built realizations (seed None) embed the raw contents,
+    so a labels-only one raises ValueError.
     """
     files = []
     for f, labels in enumerate(p.bit_labels):
@@ -332,9 +336,7 @@ def placement_to_replay(p: PlacementRealization) -> dict:
         "files": files,
     }
     if p.seed is None:
-        doc["file_bits_hex"] = [
-            np.packbits(p.file_bits[f]).tobytes().hex() for f in range(p.cfg.num_files)
-        ]
+        doc["file_bits_hex"] = [np.packbits(bits).tobytes().hex() for bits in p.file_bits]
     return doc
 
 
@@ -374,19 +376,17 @@ def _placement_from_replay(doc: dict) -> PlacementRealization:
     if len(seen) != cfg.num_files:
         missing = sorted(set(range(1, cfg.num_files + 1)) - seen)
         raise ValueError(f"replay has no entry for files {missing}")
-    file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
     if seed is not None:
-        content_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        _draw_contents(content_ss, 0, file_bits.reshape(-1))
-    else:
-        blobs = doc["file_bits_hex"]
-        if len(blobs) != cfg.num_files:
-            raise ValueError(f"file_bits_hex holds {len(blobs)} files, expected {cfg.num_files}")
-        for f, blob in enumerate(blobs):
-            raw = np.frombuffer(bytes.fromhex(blob), dtype=np.uint8)
-            if raw.size != (size + 7) // 8:
-                raise ValueError(f"file_bits_hex of file {f + 1} holds {raw.size} bytes")
-            file_bits[f] = np.unpackbits(raw, count=size)
+        return PlacementRealization(cfg, size, seed, labels, None)
+    blobs = doc["file_bits_hex"]
+    if len(blobs) != cfg.num_files:
+        raise ValueError(f"file_bits_hex holds {len(blobs)} files, expected {cfg.num_files}")
+    file_bits = np.empty((cfg.num_files, size), dtype=np.uint8)
+    for f, blob in enumerate(blobs):
+        raw = np.frombuffer(bytes.fromhex(blob), dtype=np.uint8)
+        if raw.size != (size + 7) // 8:
+            raise ValueError(f"file_bits_hex of file {f + 1} holds {raw.size} bytes")
+        file_bits[f] = np.unpackbits(raw, count=size)
     return PlacementRealization(cfg, size, seed, labels, file_bits)
 
 

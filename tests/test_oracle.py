@@ -310,6 +310,8 @@ def test_default_report_reads_no_payload_bit(source):
     schedule = build_schedule(cfg, demand)
     want = execute_schedule(placement, schedule.demand, schedule)
     assert "_cells" not in vars(placement)
+    # A sampled placement's contents stay undrawn until something reads them.
+    assert ("file_bits" in vars(placement)) == (source == "hand_built")
     assert want.fronthaul_bits > 0 and sum(want.access_bits_by_coop.values()) > 0
     # No file contents and no sorted cell index: the report reads counts only.
     bare = _NoCellIndex(cfg, placement.file_size_bits, placement.seed, placement.bit_labels, None)
@@ -319,6 +321,15 @@ def test_default_report_reads_no_payload_bit(source):
         execute_schedule(bare, schedule.demand, schedule, record_payloads=True)
     assert execute_schedule(placement, schedule.demand, schedule, record_payloads=True).payloads
     assert "_cells" in vars(placement)
+
+
+def test_recorded_run_indexes_the_demanded_files_only():
+    cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
+    placement = sample_placement(cfg, 5000, seed=9)
+    schedule = build_schedule(cfg, DemandVector((2, 2, 3)))
+    assert execute_schedule(placement, schedule.demand, schedule, record_payloads=True).payloads
+    # Rows 1 and 2 hold files 2 and 3; file 1 is never sorted.
+    assert sorted(vars(placement)["_cells"]) == [1, 2]
 
 
 class _SwappedCellIndex(PlacementRealization):
@@ -331,7 +342,7 @@ class _SwappedCellIndex(PlacementRealization):
 def test_recorded_run_checks_the_cell_index_against_the_counts():
     cfg = make_cfg(nt=3, nr=3, mu_t=0.5, mu_r=0.25, r=2.0)
     placement = sample_placement(cfg, 5000, seed=9)
-    swapped = _SwappedCellIndex(cfg, 5000, 9, placement.bit_labels, placement.file_bits)
+    swapped = _SwappedCellIndex(cfg, 5000, 9, placement.bit_labels, None)
     schedule = build_schedule(cfg)
     want = execute_schedule(placement, schedule.demand, schedule)
     assert execute_schedule(swapped, schedule.demand, schedule) == want

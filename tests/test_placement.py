@@ -18,7 +18,6 @@ from fogndt.model import config_to_dict
 from fogndt.placement import (
     _LABEL_CHUNK_BITS,
     REPLAY_FORMAT,
-    _draw_contents,
     _label_type,
     PlacementRealization,
     fractional_size,
@@ -410,17 +409,18 @@ def test_cell_index_matches_reference_partition(shape, data):
     size = data.draw(st.integers(1, 300))
     if data.draw(st.booleans()):
         # Hand-built uint32 labels from a few values, the widest label included,
-        # over position-dependent file values, so that a misordered span shows.
+        # once over each bit-plane of the bit positions: together the planes
+        # tell every position apart, so that a misordered span shows.
         top = (1 << (cfg.num_ues + cfg.num_ens)) - 1
         palette = [top, *data.draw(st.lists(st.integers(0, top), min_size=1, max_size=5))]
         count = cfg.num_files * size
         values = data.draw(st.lists(st.sampled_from(palette), min_size=count, max_size=count))
         labels = np.array(values, dtype=np.uint32).reshape(cfg.num_files, size)
-        file_bits = (np.arange(count) % 251).astype(np.uint8).reshape(labels.shape)
-        placement = PlacementRealization(cfg, size, None, labels, file_bits)
+        planes = [(np.arange(count) >> k) & 1 for k in range(max(1, (count - 1).bit_length()))]
+        placements = [PlacementRealization(cfg, size, None, labels, plane.reshape(labels.shape)) for plane in planes]
     else:
-        placement = sample_placement(cfg, size, data.draw(st.integers(0, 2**32 - 1)))
-    for f in range(cfg.num_files):
+        placements = [sample_placement(cfg, size, data.draw(st.integers(0, 2**32 - 1)))]
+    for placement, f in itertools.product(placements, range(cfg.num_files)):
         index = placement.cell_indices(f + 1)
         counts = placement.cell_counts(f + 1)
         assert counts.shape == (1 << (cfg.num_ues + cfg.num_ens),) and counts.dtype == np.int64
@@ -472,6 +472,44 @@ def test_replay_refuses_a_label_outside_the_network():
     ):
         with pytest.raises(ValueError, match=f"^file {file_id} holds a label outside the network: {bad}$"):
             PlacementRealization(cfg, 4, None, labels, np.zeros(labels.shape, dtype=np.uint8))
+
+
+def test_a_seeded_placement_takes_its_contents_from_the_seed_alone():
+    # Contents given beside a seed would be lost on replay, which draws them
+    # from the seed; sampled and replayed placements draw them on first read.
+    cfg = make_cfg(nt=2, nr=2)
+    p = sample_placement(cfg, 100, seed=3)
+    with pytest.raises(ValueError, match="^a seeded placement draws its file_bits from the seed"):
+        PlacementRealization(cfg, 100, 3, p.bit_labels, np.zeros(p.bit_labels.shape, dtype=np.uint8))
+    q = placement_from_replay(placement_to_replay(p))
+    assert "file_bits" not in vars(p) and "file_bits" not in vars(q)
+    assert np.array_equal(q.file_bits, p.file_bits)
+    assert q.file_bits is q.file_bits and q.file_bits.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [np.full((2, 4), 7, dtype=np.uint8), np.full((2, 4), -1, dtype=np.int8), np.full((2, 4), 2), np.full((2, 4), 0.0)],
+    ids=["byte_7", "negative", "int_2", "float"],
+)
+def test_construction_refuses_contents_other_than_0_and_1(bits):
+    # A byte 7 would replay as bit 1 (packbits takes any nonzero as 1) while
+    # recorded payloads XOR the raw 7.
+    cfg = make_cfg(nt=2, nr=2)
+    labels = np.zeros((2, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="^file_bits must hold only 0 and 1"):
+        PlacementRealization(cfg, 4, None, labels, bits)
+    stored = PlacementRealization(cfg, 4, None, labels, np.eye(2, 4, dtype=bool)).file_bits
+    assert stored.dtype == np.uint8 and stored.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def test_a_placement_of_labels_alone_refuses_readers_of_contents():
+    cfg = make_cfg(nt=2, nr=2)
+    p = PlacementRealization(cfg, 4, None, np.zeros((2, 4), dtype=np.uint8), None)
+    assert p.cell_counts(1).tolist() == [4] + [0] * 15
+    for read in (placement_to_replay, lambda p: p.cell_indices(1), lambda p: p.file_bits):
+        with pytest.raises(ValueError, match="^placement holds labels only: it has no file_bits$"):
+            read(p)
 
 
 _LABEL_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64, np.int64)
@@ -631,11 +669,6 @@ def test_contents_match_the_integers_draw(size):
     placement = sample_placement(cfg, size, 9)
     assert np.array_equal(placement.file_bits, want)
     assert np.array_equal(placement_from_replay(placement_to_replay(placement)).file_bits, want)
-    # Entered at a multiple of 8 bits, the helper reads on where the whole draw does.
-    start = want.size // 16 * 8
-    rest = np.empty(want.size - start, dtype=np.uint8)
-    _draw_contents(content_ss, start, rest)
-    assert np.array_equal(rest, want.reshape(-1)[start:])
 
 
 @pytest.mark.parametrize("failing", [1, 2])
@@ -643,13 +676,13 @@ def test_worker_failure_reaches_the_caller_after_every_join(monkeypatch, failing
     draw_share = placement_mod._draw_share
     finished = []
 
-    def flaky(cfg, content_ss, label_ss, labels, file_bits, start, stop):
+    def flaky(cfg, label_ss, labels, start, stop):
         share = round(3 * start / labels.size)
         if share == failing:
             raise RuntimeError(f"share {share} failed")
         if share != 0:
             time.sleep(0.2)  # still drawing when the failure is stored
-        draw_share(cfg, content_ss, label_ss, labels, file_bits, start, stop)
+        draw_share(cfg, label_ss, labels, start, stop)
         finished.append(share)
 
     monkeypatch.setattr(placement_mod, "_draw_share", flaky)
