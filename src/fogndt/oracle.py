@@ -6,14 +6,14 @@ zero-padded to the longest participant; the padding is tracked separately
 and vanishes relative to the file size.
 
 Every reported number depends only on the plan's index sets and on each
-demanded file's cell counts, read from one table per distinct demanded file
-of its bits under each of the ``2^(n_r + n_t)`` labels (at most twice the
-message count).  The index sets become arrays in one pass, and each cell
-lookup, message length, slice cut, load, fronthaul lookup and decode check
-is then one array operation over the whole schedule, with no loop per
-message or per slice.  Payload bits are made, bit-exact from the realized
-file contents, only when they are recorded, and only they read the sorted
-cell index.
+demanded file's cell counts, read in two stages.  The schedule stage reads
+the plan alone, in array operations over its index sets, and raises every
+error a plan can cause before any count is read.  The count stage reads one
+table per distinct demanded file of its bits under each of the ``2^(n_r +
+n_t)`` labels (at most twice the message count) and computes lengths,
+padding, slice cuts, loads and coverage with no loop per message or slice.
+Payload bits are made, bit-exact from the realized file contents, only when
+they are recorded, and only they read the sorted cell index.
 
 Decodability is a property of index sets, and the oracle checks it there,
 with cache sets as node bitmasks.  An edge node decodes a fronthaul payload
@@ -183,10 +183,10 @@ def execute_schedule(
 ) -> DecodeReport:
     """Run the full two-hop delivery, checking every decode and counting every bit.
 
-    Decodes are checked on index sets and on one count table per distinct
-    demanded file (:meth:`PlacementRealization.cell_counts`, ``2^(n_r +
-    n_t)`` entries), so the report reads no payload bit and builds no sorted
-    cell index.  With ``record_payloads`` every payload is also built from
+    The schedule stage checks the plan on its index sets, then the count stage reads one
+    count table per distinct demanded file (:meth:`PlacementRealization.cell_counts`,
+    ``2^(n_r + n_t)`` entries), so the report reads no payload bit and builds no sorted cell
+    index.  With ``record_payloads`` every payload is also built from
     :meth:`PlacementRealization.cell_indices` and kept."""
     cfg = schedule.cfg
     if placement.cfg != cfg:
@@ -194,8 +194,14 @@ def execute_schedule(
     if demand != schedule.demand:
         raise ValueError("demand does not match the one the schedule was built for")
     demand.validated(cfg)
+    return _schedule_stage(schedule)(placement, record_payloads)
+
+
+def _schedule_stage(schedule: DeliverySchedule):
+    """Read a schedule's index sets into arrays, raising every ValueError and DecodeFailure its
+    plan can cause; return the count stage, which reports on one placement of its config."""
+    cfg, demand = schedule.cfg, schedule.demand
     nr, nt = cfg.num_ues, cfg.num_ens
-    file_size = placement.file_size_bits
     groups = sorted(schedule.groups)
     plans = [schedule.groups[g] for g in groups]
 
@@ -234,31 +240,9 @@ def execute_schedule(
         raise ValueError("a message names a node outside the network")
     msg_of = np.arange(count_m).repeat(width)
     label = (ue_mask | cache_mask << nr)[msg_of] & ~(1 << (user - 1))
-    # Its bit count is read from its user's row of the count tables, one per
-    # distinct demanded file.  A user decodes its file when the cells with
-    # its own bit and the distinct cells it recovers hold all of it.
-    counted = {file_id: placement.cell_counts(file_id) for file_id in dict.fromkeys(demand.demands)}
-    tables = np.stack([counted[file_id] for file_id in demand.demands])
-    count = tables[user - 1, label]
-    covered = (np.arange(tables.shape[1]) >> np.arange(nr)[:, None] & 1).astype(bool)
-    covered[user - 1, label] = True
-    success = tuple((np.where(covered, tables, 0).sum(axis=1) == file_size).tolist())
-
-    # Each message is zero-padded to its longest constituent and lies at
-    # msg_at in one buffer holding every message in order.  Each sub-message
-    # owns one near-equal slice of its message, earlier slices taking the
-    # remainder.
-    length = _segment_max(count, width)
-    msg_at = length.cumsum() - length
-    naive_fh = np.diff(_starts(length)[msg_first])
     group_m, group_n = np.array(groups, dtype=np.int64).reshape(-1, 2).T
-    padding_total = int(((group_m + 1) * naive_fh).sum()) - int(count.sum())
     sub_msg = np.arange(count_m).repeat(ways)
     k = np.arange(sub_msg.size) - (ways.cumsum() - ways)[sub_msg]
-    base, rem = np.divmod(length, np.maximum(ways, 1))
-    base, rem = base[sub_msg], rem[sub_msg]
-    sub_at = msg_at[sub_msg] + k * base + np.minimum(k, rem)
-    sub_size = base + (k < rem)
     sub_group, sub_cache = msg_group[sub_msg], cache_id[sub_msg]
 
     # Fronthaul hop: each payload XORs the sub-messages its cache sets name,
@@ -278,12 +262,6 @@ def execute_schedule(
     piece_key = ((tx_group * n_ids + tx_ue)[tx_of] * n_ids + piece_cache) * n_ids + tx_coop[tx_of]
     piece_sub = _find(sorted_keys, key_sub, piece_key)
     sent = (piece_sub >= 0).nonzero()[0]
-    piece_size = np.zeros(tx_of.size, dtype=np.int64)
-    piece_size[sent] = sub_size[piece_sub[sent]]
-    payload_len = _segment_max(piece_size, pieces)
-    payload_at = payload_len.cumsum() - payload_len
-    group_fh = np.diff(_starts(payload_len)[tx_first])
-    padding_total += int((pieces * payload_len).sum()) - int(piece_size.sum())
 
     # An edge node of the cooperation set decodes a payload when it caches
     # all of its sub-messages but one: the node is in exactly one piece's set
@@ -319,10 +297,10 @@ def execute_schedule(
 
     # The coded-multicast cost of the same sub-messages, for groups sent
     # otherwise: each user group and cooperation set of the group gets the
-    # payloads fronthaul_payloads lists in coded mode (none at n = 0), and
-    # each payload costs its longest sub-message.
+    # payloads fronthaul_payloads lists in coded mode (none at n = 0), each
+    # with its group and its pieces' sub-messages (-1 for one the plan lacks),
+    # and the count stage costs each payload at its longest piece.
     naive = np.array([plan.mode != CODED_MULTICAST for plan in plans], dtype=bool)
-    coded_fh = np.where(naive, 0, group_fh)
     # Deduplicated through the stable argsort used above: np.unique imports
     # numpy.ma and np.sort pages in another sort, together 1.7 MB of peak
     # RSS on a 5x5 simulate.
@@ -332,77 +310,116 @@ def execute_schedule(
     pair_group, pair_coop = pair // n_ids**2, pair % n_ids
     pair_n = group_n[pair_group]
     tuples = list(ids)
+    coded_sub, coded_pieces, coded_group = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     for coop, n in set(zip(pair_coop.tolist(), pair_n.tolist())):
         payloads = fronthaul_payloads(tuples[coop], n, CODED_MULTICAST)
         these = ((pair_coop == coop) & (pair_n == n)).nonzero()[0]
         cache = np.array([ids.get(c, -1) for sets in payloads for c in sets], dtype=np.int64)
         keys = ((pair[these] // n_ids)[:, None] * n_ids + cache) * n_ids + coop
-        subs = _find(sorted_keys, key_sub, np.where(cache < 0, -1, keys).ravel())
-        sizes = np.where(subs < 0, 0, sub_size[subs])
-        cost = _segment_max(sizes, np.tile(_lengths(payloads, len(payloads)), these.size))
-        coded_fh += np.bincount(pair_group[these].repeat(len(payloads)), weights=cost, minlength=len(plans)).astype(np.int64)
-
-    # Access hop: every sub-message slice is one multicast payload; its users
-    # cache every constituent but their own, so each recovers its own.
+        coded_sub.append(_find(sorted_keys, key_sub, np.where(cache < 0, -1, keys).ravel()))
+        coded_pieces.append(np.tile(_lengths(payloads, len(payloads)), these.size))
+        coded_group.append(pair_group[these].repeat(len(payloads)))
+    coded_sub, coded_pieces, coded_group = map(np.concatenate, (coded_sub, coded_pieces, coded_group))
     sub_first = _starts(ways)[msg_first]
-    group_access = np.diff(_starts(sub_size)[sub_first])
     group_user = msg_group[msg_of] * (nr + 1) + user
-    loads = np.bincount(group_user, weights=length[msg_of], minlength=len(plans) * (nr + 1))
-    max_load = loads.reshape(len(plans), nr + 1).max(axis=1, initial=0).astype(np.int64)
 
-    # Payload bits are made only when they are recorded.  A constituent's
-    # cell starts, in its file's sorted index, at the exclusive prefix sum of
-    # its count table at its label, and that range must hold its label alone.
-    # Cells are XORed into one buffer of every message at msg_at, sent pieces
-    # into their payloads at payload_at, one gather per position in the
-    # message or transmission.  Records go group by group, fronthaul in
-    # transmission order, then access in sub-message order.
-    records: list[PayloadRecord] = [] if record_payloads else None
-    if records is not None:
-        labels, cell_bits = (np.concatenate(side) for side in zip(*map(placement.cell_indices, demand.demands)))
-        start = (tables.cumsum(axis=1) - tables)[user - 1, label]
-        src, full = (user - 1) * file_size + start, count > 0
-        ends = src[full], (src + count - 1)[full]
-        if ((start < 0) | (start + count > file_size)).any() or any((labels[e] != label[full]).any() for e in ends):
-            raise RuntimeError("cell counts disagree with the sorted cell index")
-        xor = np.zeros(int(length.sum()), dtype=np.uint8)
-        slot = np.arange(user.size) - (width.cumsum() - width)[msg_of]
-        _xor_ranges(xor, msg_at[msg_of], cell_bits, src, count, slot)
-        fronthaul = np.zeros(int(payload_len.sum()), dtype=np.uint8)
-        subs = piece_sub[sent]
-        _xor_ranges(fronthaul, payload_at[tx_of[sent]], xor, sub_at[subs], sub_size[subs], position[sent])
-        # Transmissions and sub-messages are both listed group after group.
-        fh = zip(txs, payload_at.tolist(), payload_len.tolist())
-        access = zip(sub_msg.tolist(), k.tolist(), sub_at.tolist(), sub_size.tolist())
-        for (m, n), tx_count, sub_count in zip(groups, tx_counts, np.diff(sub_first).tolist()):
-            for tx, a, z in itertools.islice(fh, tx_count):
-                if z:
-                    records.append(PayloadRecord("fronthaul", m, n, *tx, _hex(fronthaul[a : a + z]), z))
-            for j, c, a, z in itertools.islice(access, sub_count):
-                if z:
-                    bits = _hex(xor[a : a + z])
-                    records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), bits, z))
+    def count_stage(placement: PlacementRealization, record_payloads: bool) -> DecodeReport:
+        # A constituent's bit count is read from its user's row of the count
+        # tables, one per distinct demanded file.  A user decodes its file when
+        # the cells with its own bit and the distinct cells it recovers hold it.
+        file_size = placement.file_size_bits
+        counted = {file_id: placement.cell_counts(file_id) for file_id in dict.fromkeys(demand.demands)}
+        tables = np.stack([counted[file_id] for file_id in demand.demands])
+        count = tables[user - 1, label]
+        covered = (np.arange(tables.shape[1]) >> np.arange(nr)[:, None] & 1).astype(bool)
+        covered[user - 1, label] = True
+        success = tuple((np.where(covered, tables, 0).sum(axis=1) == file_size).tolist())
 
-    tau_a_emp = 0.0
-    access_by_coop: dict[int, int] = {}
-    per_group: dict[GroupIndex, GroupStats] = {}
-    # One Python int per group and column, in GroupStats' field order.
-    columns = zip(*(c.tolist() for c in (group_fh, naive_fh, coded_fh, group_access, max_load)))
-    for group, plan, (fh, naive_bits, coded_bits, access_bits, load) in zip(groups, plans, columns):
-        access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + access_bits
-        # Summed in ascending (m, n) order, as the analytic breakdown is.
-        tau_a_emp += (load / file_size) / plan.dof_value
-        per_group[group] = GroupStats(fh, naive_bits, coded_bits, access_bits, load, plan.coop_level, plan.mode, plan.chosen_i)
-    fronthaul_total = int(group_fh.sum())
-    return DecodeReport(
-        per_ue_success=success,
-        fronthaul_bits=fronthaul_total,
-        access_bits_by_coop=access_by_coop,
-        padding_overhead_bits=padding_total,
-        empirical_tau_f=(fronthaul_total / file_size) / cfg.fronthaul_r,
-        empirical_tau_a=tau_a_emp,
-        file_size_bits=file_size,
-        seed=placement.seed,
-        per_group=per_group,
-        payloads=tuple(records) if record_payloads else None,
-    )
+        # Each message is zero-padded to its longest constituent and lies at
+        # msg_at in one buffer holding every message in order.  Each
+        # sub-message owns one near-equal slice of its message, earlier slices
+        # taking the remainder.
+        length = _segment_max(count, width)
+        msg_at = length.cumsum() - length
+        naive_fh = np.diff(_starts(length)[msg_first])
+        padding_total = int(((group_m + 1) * naive_fh).sum()) - int(count.sum())
+        base, rem = np.divmod(length, np.maximum(ways, 1))
+        base, rem = base[sub_msg], rem[sub_msg]
+        sub_at = msg_at[sub_msg] + k * base + np.minimum(k, rem)
+        sub_size = base + (k < rem)
+        piece_size = np.zeros(tx_of.size, dtype=np.int64)
+        piece_size[sent] = sub_size[piece_sub[sent]]
+        payload_len = _segment_max(piece_size, pieces)
+        payload_at = payload_len.cumsum() - payload_len
+        group_fh = np.diff(_starts(payload_len)[tx_first])
+        padding_total += int((pieces * payload_len).sum()) - int(piece_size.sum())
+        coded_cost = _segment_max(np.where(coded_sub < 0, 0, sub_size[coded_sub]), coded_pieces)
+        coded_fh = np.where(naive, 0, group_fh)
+        coded_fh += np.bincount(coded_group, weights=coded_cost, minlength=len(plans)).astype(np.int64)
+
+        # Access hop: every sub-message slice is one multicast payload; its
+        # users cache every constituent but their own, so each recovers its own.
+        group_access = np.diff(_starts(sub_size)[sub_first])
+        loads = np.bincount(group_user, weights=length[msg_of], minlength=len(plans) * (nr + 1))
+        max_load = loads.reshape(len(plans), nr + 1).max(axis=1, initial=0).astype(np.int64)
+
+        # Payload bits are made only when they are recorded.  A constituent's
+        # cell starts, in its file's sorted index, at the exclusive prefix sum
+        # of its count table at its label, and that range must hold its label
+        # alone.  Cells are XORed into one buffer of every message at msg_at,
+        # sent pieces into their payloads at payload_at, one gather per
+        # position in the message or transmission.  Records go group by group,
+        # fronthaul in transmission order, then access in sub-message order.
+        records: list[PayloadRecord] = [] if record_payloads else None
+        if records is not None:
+            labels, cell_bits = (np.concatenate(side) for side in zip(*map(placement.cell_indices, demand.demands)))
+            start = (tables.cumsum(axis=1) - tables)[user - 1, label]
+            src, full = (user - 1) * file_size + start, count > 0
+            ends = src[full], (src + count - 1)[full]
+            if ((start < 0) | (start + count > file_size)).any() or any((labels[e] != label[full]).any() for e in ends):
+                raise RuntimeError("cell counts disagree with the sorted cell index")
+            xor = np.zeros(int(length.sum()), dtype=np.uint8)
+            slot = np.arange(user.size) - (width.cumsum() - width)[msg_of]
+            _xor_ranges(xor, msg_at[msg_of], cell_bits, src, count, slot)
+            fronthaul = np.zeros(int(payload_len.sum()), dtype=np.uint8)
+            subs = piece_sub[sent]
+            _xor_ranges(fronthaul, payload_at[tx_of[sent]], xor, sub_at[subs], sub_size[subs], position[sent])
+            # Transmissions and sub-messages are both listed group after group.
+            fh = zip(txs, payload_at.tolist(), payload_len.tolist())
+            access = zip(sub_msg.tolist(), k.tolist(), sub_at.tolist(), sub_size.tolist())
+            for (m, n), tx_count, sub_count in zip(groups, tx_counts, np.diff(sub_first).tolist()):
+                for tx, a, z in itertools.islice(fh, tx_count):
+                    if z:
+                        records.append(PayloadRecord("fronthaul", m, n, *tx, _hex(fronthaul[a : a + z]), z))
+                for j, c, a, z in itertools.islice(access, sub_count):
+                    if z:
+                        bits = _hex(xor[a : a + z])
+                        records.append(PayloadRecord("access", m, n, ue_groups[j], coop_lists[j][c], (caches[j],), bits, z))
+
+        tau_a_emp = 0.0
+        access_by_coop: dict[int, int] = {}
+        per_group: dict[GroupIndex, GroupStats] = {}
+        # One Python int per group and column, in GroupStats' field order.
+        columns = zip(*(c.tolist() for c in (group_fh, naive_fh, coded_fh, group_access, max_load)))
+        for group, plan, (fh, naive_bits, coded_bits, access_bits, load) in zip(groups, plans, columns):
+            access_by_coop[plan.coop_level] = access_by_coop.get(plan.coop_level, 0) + access_bits
+            # Summed in ascending (m, n) order, as the analytic breakdown is.
+            tau_a_emp += (load / file_size) / plan.dof_value
+            per_group[group] = GroupStats(
+                fh, naive_bits, coded_bits, access_bits, load, plan.coop_level, plan.mode, plan.chosen_i
+            )
+        fronthaul_total = int(group_fh.sum())
+        return DecodeReport(
+            per_ue_success=success,
+            fronthaul_bits=fronthaul_total,
+            access_bits_by_coop=access_by_coop,
+            padding_overhead_bits=padding_total,
+            empirical_tau_f=(fronthaul_total / file_size) / cfg.fronthaul_r,
+            empirical_tau_a=tau_a_emp,
+            file_size_bits=file_size,
+            seed=placement.seed,
+            per_group=per_group,
+            payloads=tuple(records) if record_payloads else None,
+        )
+
+    return count_stage

@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .model import NetworkConfig, config_from_dict, config_to_dict, short_repr
+from .scheduler import _cache_factors
 
 # Labels are packed into unsigned masks of at most 32 bits: low num_ues bits
 # for users, the next num_ens bits for edge nodes.
@@ -44,17 +45,15 @@ def _label_type(cfg: NetworkConfig) -> np.dtype:
 
 
 def fractional_size(m: int, n: int, cfg: NetworkConfig) -> float:
-    """Expected fraction of a file cached at a fixed set of m users and n edge nodes."""
+    """Expected fraction of a file cached at a fixed set of m users and n edge nodes: group
+    ``(m, n)``'s ``f`` from the scheduler's factors, bit for bit up to the sign of a zero."""
     if not 0 <= m <= cfg.num_ues:
         raise ValueError(f"m outside [0, {cfg.num_ues}]: {m}")
     if not 0 <= n <= cfg.num_ens:
         raise ValueError(f"n outside [0, {cfg.num_ens}]: {n}")
-    return (
-        cfg.mu_r ** m
-        * (1.0 - cfg.mu_r) ** (cfg.num_ues - m)
-        * cfg.mu_t ** n
-        * (1.0 - cfg.mu_t) ** (cfg.num_ens - n)
-    )
+    mr, qr = _cache_factors(cfg.mu_r, cfg.num_ues)[m]
+    mt, qt = _cache_factors(cfg.mu_t, cfg.num_ens)[n]
+    return mr * qr * mt * qt
 
 
 def pack_label(ue_set: Iterable[int], en_set: Iterable[int], cfg: NetworkConfig) -> int:
@@ -84,7 +83,7 @@ class CellIndex(NamedTuple):
     bits: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementRealization:
     """Per-bit cache labels plus the file contents they apply to.
 
@@ -100,7 +99,7 @@ class PlacementRealization:
     readers trust them.  :meth:`cell_counts` is a file's bits per label, one
     table of ``2^(num_ues + num_ens)`` entries, counted anew on each call;
     :meth:`cell_indices` is a file's sorted index for bit-level work, built
-    when first asked for and cached.  Instances are immutable.
+    when first asked for and cached.  Instances are immutable and compare by identity.
     """
 
     cfg: NetworkConfig

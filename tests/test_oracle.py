@@ -458,6 +458,39 @@ def test_coded_cost_counts_missing_sub_messages_as_empty():
     assert got.per_group[plan.index].coded_fronthaul_bits > 0
 
 
+class _NoCounts(PlacementRealization):
+    """A placement whose counts and sorted cell index may not be read."""
+
+    def cell_counts(self, file_id):
+        raise AssertionError(f"count table of file {file_id} read")
+
+    def cell_indices(self, file_id):
+        raise AssertionError(f"cell index of file {file_id} read")
+
+
+def test_a_plan_error_reads_no_count():
+    # The schedule stage raises every error of a plan before the count stage
+    # reads the placement: the same DecodeFailure as with a placement that
+    # may be read, and the same ValueError.
+    cfg = make_cfg(nt=3, nr=2, mu_t=0.25, mu_r=0.25, r=2.0)
+    bare = _NoCounts(cfg, 4000, 5, sample_placement(cfg, 4000, seed=5).bit_labels, None)
+    drop_first = _edit_transmissions(lambda txs: tuple(txs[1:]))
+    with pytest.raises(DecodeFailure) as want:
+        _faulty_run(GroupIndex(1, 1), drop_first, cfg)
+    schedule = build_schedule(cfg, dof=_increasing_dof)
+    drop_first(schedule.groups[GroupIndex(1, 1)])
+    with pytest.raises(DecodeFailure) as got:
+        execute_schedule(bare, schedule.demand, schedule)
+    assert (got.value.node, got.value.message_key, got.value.missing) == (
+        want.value.node, want.value.message_key, want.value.missing
+    )
+    schedule = build_schedule(cfg)
+    plan = schedule.groups[GroupIndex(0, 1)]
+    vars(plan)["messages"] = (plan.messages[0], *plan.messages)
+    with pytest.raises(ValueError, match="a plan lists a sub-message twice"):
+        execute_schedule(bare, schedule.demand, schedule)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -101,6 +101,15 @@ def test_sample_is_reproducible():
     assert not np.array_equal(a.bit_labels, c.bit_labels)
 
 
+def test_placements_compare_and_hash_by_identity():
+    # Two equal samples are two placements: equality and hash never read the label array.
+    cfg = make_cfg()
+    p, q = sample_placement(cfg, 16, seed=1), sample_placement(cfg, 16, seed=1)
+    assert p == p and not p != p
+    assert p != q and not p == q
+    assert {p: "p", q: "q"}[p] == "p"
+
+
 def test_sample_rejects_bad_sizes():
     with pytest.raises(ValueError):
         sample_placement(make_cfg(), 0, seed=1)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,11 @@ from fogndt.scheduler import (
 from conftest import make_cfg, reference_3x3_group_pairs
 
 
+def _fraction(m, n, cfg):
+    """The subfile fraction of group (m, n), written out in the scheduler's operand order."""
+    return cfg.mu_r ** m * (1.0 - cfg.mu_r) ** (cfg.num_ues - m) * cfg.mu_t ** n * (1.0 - cfg.mu_t) ** (cfg.num_ens - n)
+
+
 def _rows(group, cfg, dof=per_user_dof_default):
     """Reference rows (total, i, load, tau_f, tau_a, d) of one group, by admissible i.
 
@@ -35,7 +41,7 @@ def _rows(group, cfg, dof=per_user_dof_default):
     """
     m, n = group
     nt, nr, r = cfg.num_ens, cfg.num_ues, cfg.fronthaul_r
-    f = fractional_size(m, n, cfg)
+    f = _fraction(m, n, cfg)
     b_en = math.comb(nt, n)
     b_load = math.comb(nr, m + 1) * b_en
     access = math.comb(nr - 1, m) * b_en * f
@@ -155,6 +161,21 @@ def test_candidates_match_group_terms_bitwise():
         assert ndt_upper(cfg) == schedule.breakdown.total
 
 
+def test_fractional_size_equals_the_written_out_product():
+    # fractional_size reads the scheduler's factor tables.  Over every (m, n)
+    # of shapes 2..6 and fractions of each type it may hold, it equals the
+    # written-out product, bit for bit where nonzero: 0.0 and -0.0 share a
+    # table, so only the sign of a zero may differ.
+    mus = [0, 1, 0.0, -0.0, 1.0, 0.1, 0.37, 0.5, 0.81, np.float64(0.0), np.float64(-0.0), np.float64(0.3), np.float64(1.0)]
+    for nt, nr, mu_t, mu_r in itertools.product(range(2, 7), range(2, 7), mus, mus):
+        cfg = make_cfg(nt=nt, nr=nr, mu_t=mu_t, mu_r=mu_r)
+        for m, n in itertools.product(range(nr + 1), range(nt + 1)):
+            got, want = fractional_size(m, n, cfg), _fraction(m, n, cfg)
+            assert got == want
+            if want != 0.0:
+                assert repr(got) == repr(want)
+
+
 def _step_dof(m, j, cfg):
     return 1.0 if j >= 3 else 0.5
 
@@ -185,14 +206,14 @@ def test_plans_equal_reference_rows_bitwise(nt, nr, mu_t, mu_r, r, dof):
         GroupIndex(m, n)
         for m in range(nr)
         for n in range(nt + 1)
-        if fractional_size(m, n, cfg) != 0.0
+        if _fraction(m, n, cfg) != 0.0
     }
     assert set(schedule.groups) == nonzero
     for group, plan in schedule.groups.items():
         _total, *expected = min(_rows(group, cfg, dof).values())
         got = [plan.chosen_i, plan.fronthaul_load, plan.tau_f, plan.tau_a, plan.dof_value]
         assert repr(got) == repr(expected)
-        assert repr(plan.size_fraction) == repr(fractional_size(*group, cfg))
+        assert repr(plan.size_fraction) == repr(_fraction(*group, cfg))
     # The totals re-summed from 0.0 in ascending (m, n) order: the one
     # reduction order both the breakdown and the bounds must keep.
     total_f = total_a = 0.0
