@@ -91,11 +91,12 @@ class GroupIndex(NamedTuple):
 
 
 def validate_group(group: GroupIndex, cfg: NetworkConfig) -> GroupIndex:
+    """``group``, if m and n are ints (no bool) in range; else ValueError naming the field."""
     m, n = group
-    if not 0 <= m <= cfg.num_ues - 1:
-        raise ValueError(f"group m outside [0, {cfg.num_ues - 1}]: {m}")
-    if not 0 <= n <= cfg.num_ens:
-        raise ValueError(f"group n outside [0, {cfg.num_ens}]: {n}")
+    if type(m) is bool or not isinstance(m, int) or not 0 <= m <= cfg.num_ues - 1:
+        raise ValueError(f"group m not an int in [0, {cfg.num_ues - 1}]: {short_repr(m)}")
+    if type(n) is bool or not isinstance(n, int) or not 0 <= n <= cfg.num_ens:
+        raise ValueError(f"group n not an int in [0, {cfg.num_ens}]: {short_repr(n)}")
     return group
 
 

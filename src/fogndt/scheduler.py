@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from functools import cache, cached_property, lru_cache, partial
+from typing import Iterable, Iterator, NamedTuple
 
 from .dof import DofProvider, dof_rows, per_user_dof_default
 from .model import (
@@ -29,6 +30,7 @@ from .model import (
     NdtBreakdown,
     NetworkConfig,
     config_to_dict,
+    short_repr,
     validate_group,
 )
 
@@ -61,12 +63,18 @@ class FronthaulTransmission(NamedTuple):
     cache_sets: tuple[tuple[int, ...], ...]
 
 
+# A message or transmission from a plain tuple of its fields, built in C: a NamedTuple's own
+# ``__new__`` is a Python function, called once per item.
+_new_message = partial(tuple.__new__, CodedMessage)
+_new_transmission = partial(tuple.__new__, FronthaulTransmission)
+
+
 def coded_messages_for_group(group: GroupIndex, cfg: NetworkConfig) -> list[CodedMessage]:
     """All coded messages of one group, in lexicographic (ue_group, en_set) order."""
     m, n = validate_group(group, cfg)
     return list(
-        itertools.starmap(
-            CodedMessage,
+        map(
+            _new_message,
             itertools.product(
                 itertools.combinations(range(1, cfg.num_ues + 1), m + 1),
                 itertools.combinations(range(1, cfg.num_ens + 1), n),
@@ -92,13 +100,21 @@ def fronthaul_mode(n: int, i: int) -> str:
 
 
 def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> list[tuple[int, ...]]:
-    """The C(num_ens - n, i) supersets of size n + i, sorted lexicographically."""
-    others = [p for p in range(1, cfg.num_ens + 1) if p not in en_cache_set]
-    if not 0 <= i <= len(others):
-        raise ValueError(f"cooperation increment outside [0, {len(others)}]: {i}")
-    return sorted(
-        tuple(sorted(en_cache_set + extra)) for extra in itertools.combinations(others, i)
-    )
+    """The C(num_ens - n, i) supersets of size n + i, sorted lexicographically.
+
+    They come out sorted with no sort of the list: two equal-size sorted tuples have X < Y
+    exactly when min(X △ Y) lies in X, and adding one fixed set disjoint from both leaves
+    X △ Y unchanged, so the supersets keep the order in which ``combinations`` lists the
+    added nodes.
+    """
+    nt = cfg.num_ens
+    bounds = (0, *en_cache_set, nt + 1)
+    if not all(type(b) is int and a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"edge-node cache set not strictly ascending inside 1..{nt}: {short_repr(en_cache_set)}")
+    others = [p for p in range(1, nt + 1) if p not in en_cache_set]
+    if type(i) is not int or not 0 <= i <= len(others):
+        raise ValueError(f"cooperation increment not an int in [0, {len(others)}]: {short_repr(i)}")
+    return [tuple(sorted(en_cache_set + extra)) for extra in itertools.combinations(others, i)]
 
 
 def fronthaul_payloads(coop: tuple[int, ...], n: int, mode: str) -> list[tuple[tuple[int, ...], ...]]:
@@ -125,16 +141,15 @@ def fronthaul_plan(group: GroupIndex, i: int, cfg: NetworkConfig) -> tuple[Front
     """
     validate_group(group, cfg)
     m, n = group
-    if i not in cooperation_increments(n, cfg.num_ens):
-        raise ValueError(f"cooperation increment {i} not admissible for group {tuple(group)}")
     nt = cfg.num_ens
+    if type(i) is not int or i not in cooperation_increments(n, nt):
+        raise ValueError(f"cooperation increment {short_repr(i)} not admissible for group {tuple(group)}")
     ue_groups = list(itertools.combinations(range(1, cfg.num_ues + 1), m + 1))
     mode = fronthaul_mode(n, i)
     transmissions = []
     for coop in itertools.combinations(range(1, nt + 1), n + i):
         payloads = fronthaul_payloads(coop, n, mode)
-        if payloads:
-            transmissions.extend(FronthaulTransmission(g, coop, c) for g in ue_groups for c in payloads)
+        transmissions += map(_new_transmission, itertools.product(ue_groups, (coop,), payloads))
     return tuple(transmissions)
 
 
@@ -257,6 +272,8 @@ class GroupPlan:
     tau_a: float
     dof_value: float
     cfg: NetworkConfig = field(repr=False)
+    # Sub-message tables by (num_ens, n, i), shared by the plans of one schedule.
+    _sub_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def coop_level(self) -> int:
@@ -272,11 +289,17 @@ class GroupPlan:
 
     @cached_property
     def sub_messages(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The cooperation sets splitting each message, by its edge-node cache set."""
-        return {
-            cache: tuple(coop_sets_for(cache, self.chosen_i, self.cfg))
-            for cache in itertools.combinations(range(1, self.cfg.num_ens + 1), self.index.n)
-        }
+        """The cooperation sets splitting each message, by its edge-node cache set.
+
+        The plan's own dict, copied from the table its schedule shares; the values are tuples,
+        so an edit of one plan's dict leaves every other plan unchanged.
+        """
+        nt, n, i = self.cfg.num_ens, self.index.n, self.chosen_i
+        table = self._sub_tables.get((nt, n, i))
+        if table is None:
+            caches = itertools.combinations(range(1, nt + 1), n)
+            table = self._sub_tables[nt, n, i] = {cache: tuple(coop_sets_for(cache, i, self.cfg)) for cache in caches}
+        return dict(table)
 
     @cached_property
     def fronthaul(self) -> tuple[FronthaulTransmission, ...]:
@@ -298,13 +321,12 @@ class GroupPlan:
         }
 
 
-def _json_list(texts: list[str], nl: str) -> str:
-    """A JSON array of already-written items at json's indent 2; ``nl`` is a newline plus the
-    indent of the brackets."""
-    if not texts:
-        return "[]"
+def _json_list(texts: Iterable[str], nl: str) -> str:
+    """A JSON array of already-written, nonempty items at json's indent 2; ``nl`` is a newline
+    plus the indent of the brackets."""
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    body = ("," + inner).join(texts)
+    return f"[{inner}{body}{nl}]" if body else "[]"
 
 
 def _json_ints(ints: tuple[int, ...], nl: str) -> str:
@@ -358,11 +380,13 @@ class DeliverySchedule:
     def json_chunks(self) -> Iterator[str]:
         """``json.dumps(self.to_json(), indent=2)`` in pieces: the head, one piece per group, the tail.
 
-        Only one group's text exists at a time.  Within a group, the text of each edge-node
-        cache set with its sub-messages, and of each fronthaul ``(coop_set, cache_sets)``
-        pair, is written once; so is each user group's text per call.  Each message or
-        transmission is then one concatenation.  Exact ints and finite floats are written
-        by their ``__repr__``, as json writes them, and any other scalar by ``json.dumps``.
+        Only one group's text exists at a time.  Each text that repeats is written once per
+        call and shared by every group of the call: each int list at each indent, each user
+        group's head, each message tail (an ``en_cache_set`` with its ``sub_messages``, keyed
+        by that content, not by (n, i)) and each fronthaul ``(coop_set, cache_sets)`` tail.
+        Nothing is kept across calls.  Each message or transmission is then one concatenation,
+        and each group's piece one join.  Exact ints and finite floats are written by their
+        ``__repr__``, as json writes them, and any other scalar by ``json.dumps``.
         """
         import json  # local: this writer is the module's only json user
 
@@ -371,19 +395,21 @@ class DeliverySchedule:
             return t.__repr__(v) if t is int or t is float and math.isfinite(v) else json.dumps(v)
 
         nl6, nl8, nl10, nl12, nl14 = ("\n" + " " * k for k in (6, 8, 10, 12, 14))
+        ints = cache(_json_ints)
 
         @cache
         def ue_head(ue_group: tuple[int, ...]) -> str:
-            return "{" + nl10 + '"ue_group": ' + _json_ints(ue_group, nl10) + "," + nl10
+            return "{" + nl10 + '"ue_group": ' + ints(ue_group, nl10) + "," + nl10
 
-        def message_tail(cache: tuple[int, ...], coops: tuple[tuple[int, ...], ...]) -> str:
-            subs = _json_list(["{" + nl14 + '"coop_set": ' + _json_ints(c, nl14) + nl12 + "}" for c in coops], nl10)
-            return '"en_cache_set": ' + _json_ints(cache, nl10) + "," + nl10 + '"sub_messages": ' + subs + nl8 + "}"
+        @cache
+        def message_tail(en_set: tuple[int, ...], coops: tuple[tuple[int, ...], ...]) -> str:
+            subs = _json_list(["{" + nl14 + '"coop_set": ' + ints(c, nl14) + nl12 + "}" for c in coops], nl10)
+            return '"en_cache_set": ' + ints(en_set, nl10) + "," + nl10 + '"sub_messages": ' + subs + nl8 + "}"
 
         @cache
         def tx_tail(coop: tuple[int, ...], caches: tuple[tuple[int, ...], ...]) -> str:
-            cache_sets = _json_list([_json_ints(c, nl12) for c in caches], nl10)
-            return '"coop_set": ' + _json_ints(coop, nl10) + "," + nl10 + '"cache_sets": ' + cache_sets + nl8 + "}"
+            cache_sets = _json_list([ints(c, nl12) for c in caches], nl10)
+            return '"coop_set": ' + ints(coop, nl10) + "," + nl10 + '"cache_sets": ' + cache_sets + nl8 + "}"
 
         head = json.dumps(self._json_head(), indent=2)[:-2] + ',\n  "groups": '
         if not self.groups:
@@ -394,14 +420,15 @@ class DeliverySchedule:
         for g in sorted(self.groups):
             plan = self.groups[g]
             fields = [json.encoder.encode_basestring_ascii(k) + ": " + scalar(v) for k, v in plan._json_fields().items()]
-            tails = {cache: message_tail(cache, coops) for cache, coops in plan.sub_messages.items()}
-            messages = [ue_head(u) + tails[c] for u, c in plan.messages]
-            transmissions = [ue_head(tx.ue_group) + tx_tail(tx.coop_set, tx.cache_sets) for tx in plan.fronthaul]
-            yield (
-                sep + "{" + nl6 + ("," + nl6).join(fields)
-                + "," + nl6 + '"messages": ' + _json_list(messages, nl6)
-                + "," + nl6 + '"fronthaul_transmissions": ' + _json_list(transmissions, nl6) + "\n    }"
-            )
+            tails = {en_set: message_tail(en_set, coops) for en_set, coops in plan.sub_messages.items()}
+            ue_groups, en_sets = tuple(zip(*plan.messages)) or ((), ())
+            messages = map(operator.add, map(ue_head, ue_groups), map(tails.__getitem__, en_sets))
+            tx_ues, coops, caches = tuple(zip(*plan.fronthaul)) or ((), (), ())
+            transmissions = map(operator.add, map(ue_head, tx_ues), map(tx_tail, coops, caches))
+            yield "".join((
+                sep, "{", nl6, ("," + nl6).join(fields), ",", nl6, '"messages": ', _json_list(messages, nl6),
+                ",", nl6, '"fronthaul_transmissions": ', _json_list(transmissions, nl6), "\n    }",
+            ))
             sep = ",\n    "
         yield "\n  ]\n}"
 
@@ -415,6 +442,7 @@ def build_schedule(
     demand = DemandVector.distinct(cfg) if demand is None else demand.validated(cfg)
     terms: list = []
     total_f, total_a = _group_terms(cfg, dof, terms)
+    sub_tables: dict = {}
     plans = {
         group: GroupPlan(
             index=group,
@@ -425,6 +453,7 @@ def build_schedule(
             tau_a=tau_a,
             dof_value=d,
             cfg=cfg,
+            _sub_tables=sub_tables,
         )
         for group, f, i_star, load, tau_f, tau_a, d in terms
     }

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from fogndt.bounds import bounds_report, ndt_upper
 from fogndt.dof import per_user_dof_default
-from fogndt.model import DemandVector, GroupIndex
+from fogndt.model import DemandVector, GroupIndex, validate_group
 from fogndt.placement import fractional_size
 from fogndt.scheduler import (
     CODED_MULTICAST,
     NAIVE_MULTICAST,
+    CodedMessage,
+    FronthaulTransmission,
     build_schedule,
     coded_messages_for_group,
     cooperation_increments,
@@ -336,6 +338,99 @@ def test_coop_sets_sorted_and_supersets():
     cfg = make_cfg(nt=4, nr=2)
     sets = coop_sets_for((2,), 2, cfg)
     assert sets == [(1, 2, 3), (1, 2, 4), (2, 3, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nt=st.integers(2, 9), data=st.data())
+def test_coop_sets_come_out_strictly_ascending(nt, data):
+    cfg = make_cfg(nt=nt, nr=2)
+    en_set = tuple(sorted(data.draw(st.sets(st.integers(1, nt), max_size=nt))))
+    i = data.draw(st.integers(0, nt - len(en_set)))
+    sets = coop_sets_for(en_set, i, cfg)
+    assert sets == sorted(sets)
+    assert all(a < b for a, b in zip(sets, sets[1:]))
+    assert len(sets) == math.comb(nt - len(en_set), i)
+
+
+def test_structure_helpers_refuse_malformed_input():
+    cfg = make_cfg(nt=3, nr=3)
+    for en_set in ((9,), (0,), (2, 2), (3, 1), (1.5,), (True,)):
+        with pytest.raises(ValueError, match="edge-node cache set"):
+            coop_sets_for(en_set, 1, cfg)
+    for i in (1.0, True, np.int64(1), -1, 3):
+        with pytest.raises(ValueError, match="cooperation increment"):
+            coop_sets_for((2,), i, cfg)
+        with pytest.raises(ValueError, match="cooperation increment"):
+            fronthaul_plan(GroupIndex(0, 1), i, cfg)
+    for group in ((0, True), (True, 0), (0, 1.0), (1.0, 0), (False, 1)):
+        with pytest.raises(ValueError, match="group"):
+            validate_group(group, cfg)
+        with pytest.raises(ValueError, match="group"):
+            coded_messages_for_group(group, cfg)
+    assert coop_sets_for((), 3, cfg) == [(1, 2, 3)]
+
+
+def test_structures_are_plain_named_tuples_in_reference_order():
+    for nt, nr in itertools.product(range(2, 6), repeat=2):
+        cfg = make_cfg(nt=nt, nr=nr)
+        for m, n in itertools.product(range(nr), range(nt + 1)):
+            ue_groups = list(itertools.combinations(range(1, nr + 1), m + 1))
+            messages = coded_messages_for_group(GroupIndex(m, n), cfg)
+            reference = list(itertools.starmap(
+                CodedMessage, itertools.product(ue_groups, itertools.combinations(range(1, nt + 1), n))
+            ))
+            assert messages == reference
+            assert all(type(msg) is CodedMessage for msg in messages)
+            assert [(msg.ue_group, msg.en_cache_set) for msg in messages] == [tuple(msg) for msg in reference]
+            for i in cooperation_increments(n, nt):
+                plan = fronthaul_plan(GroupIndex(m, n), i, cfg)
+                reference = list(itertools.starmap(FronthaulTransmission, (
+                    (u, coop, caches)
+                    for coop in itertools.combinations(range(1, nt + 1), n + i)
+                    for u in ue_groups
+                    for caches in fronthaul_payloads(coop, n, fronthaul_mode(n, i))
+                )))
+                assert list(plan) == reference
+                assert all(type(tx) is FronthaulTransmission for tx in plan)
+                assert [(tx.ue_group, tx.coop_set, tx.cache_sets) for tx in plan] == [tuple(tx) for tx in reference]
+        for plan in build_schedule(cfg).groups.values():
+            assert all(type(msg) is CodedMessage for msg in plan.messages)
+            assert all(type(tx) is FronthaulTransmission for tx in plan.fronthaul)
+
+
+def test_plans_with_one_sub_message_table_edit_apart():
+    # Under this step DoF groups (0, 1) and (1, 1) both take i = 2, so their sub-message
+    # tables are equal, with three cooperation sets per cache set.
+    def step(m, j, cfg):
+        return 1.0 if j >= 3 else 0.3
+
+    schedule = build_schedule(make_cfg(nt=4, nr=2, r=10.0), dof=step)
+    a, b = schedule.groups[GroupIndex(0, 1)], schedule.groups[GroupIndex(1, 1)]
+    assert (a.index.n, a.chosen_i) == (b.index.n, b.chosen_i) == (1, 2)
+    assert a.sub_messages == b.sub_messages
+    assert a.sub_messages is not b.sub_messages
+    ia, ib = map(sorted(schedule.groups).index, (a.index, b.index))
+    b_doc = schedule.to_json()["groups"][ib]
+    expected_b = dict(b.sub_messages)
+
+    # In place: a's splits of cache set (1,) lose all but their first cooperation set.
+    a.sub_messages[(1,)] = a.sub_messages[(1,)][:1]
+    assert b.sub_messages == expected_b
+    doc = schedule.to_json()
+    assert doc["groups"][ib] == b_doc
+    assert doc["groups"][ia]["messages"][0]["sub_messages"] == [{"coop_set": (1, 2, 3)}]
+    assert "".join(schedule.json_chunks()) == json.dumps(doc, indent=2)
+
+    # Through the instance dict: a's cache set (2,) is split over one set it does not hold.
+    vars(a)["sub_messages"] = {**a.sub_messages, (2,): ((1, 3, 4),)}
+    assert b.sub_messages == expected_b
+    doc = schedule.to_json()
+    assert doc["groups"][ib] == b_doc
+    assert "".join(schedule.json_chunks()) == json.dumps(doc, indent=2)
+
+    # A fresh schedule of the same config reads the unedited table.
+    fresh = build_schedule(schedule.cfg, dof=step).groups[GroupIndex(0, 1)]
+    assert fresh.sub_messages == expected_b
 
 
 def test_fronthaul_mode_selection():
