@@ -108,8 +108,8 @@ def coop_sets_for(en_cache_set: tuple[int, ...], i: int, cfg: NetworkConfig) -> 
     added nodes.
     """
     nt = cfg.num_ens
-    bounds = (0, *en_cache_set, nt + 1)
-    if not all(type(b) is int and a < b for a, b in zip(bounds, bounds[1:])):
+    bounds = (0, *en_cache_set, nt + 1) if type(en_cache_set) is tuple else ()
+    if not bounds or not all(type(b) is int and a < b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"edge-node cache set not strictly ascending inside 1..{nt}: {short_repr(en_cache_set)}")
     others = [p for p in range(1, nt + 1) if p not in en_cache_set]
     if type(i) is not int or not 0 <= i <= len(others):
@@ -127,6 +127,8 @@ def fronthaul_payloads(coop: tuple[int, ...], n: int, mode: str) -> list[tuple[t
     """
     if mode == NAIVE_MULTICAST:
         return [(cache,) for cache in itertools.combinations(coop, n)]
+    if mode != CODED_MULTICAST:
+        raise ValueError(f"unknown fronthaul mode: {short_repr(mode)}")
     if n == 0:
         return []
     return [tuple(itertools.combinations(d, n)) for d in itertools.combinations(coop, n + 1)]

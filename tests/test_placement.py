@@ -447,12 +447,16 @@ def test_cell_index_matches_reference_partition(shape, data):
 
 def test_cell_counts_add_up_over_pieces(monkeypatch):
     cfg = make_cfg(nt=2, nr=2)
-    placement = sample_placement(cfg, 1000, seed=6)
-    want = [np.bincount(labels, minlength=16) for labels in placement.bit_labels]
-    # Pieces of 16 bits, the table's size, as counting never takes fewer.
+    labels = sample_placement(cfg, 1000, seed=6).bit_labels
+    want = [np.bincount(row, minlength=16) for row in labels]
+    # Pieces of 16 bits, the table's size, as counting never takes fewer: the
+    # draw counts a sampled placement, the first read a hand-built one.
     monkeypatch.setattr(placement_mod, "_LABEL_CHUNK_BITS", 5)
-    for f, counts in enumerate(want):
-        assert np.array_equal(placement.cell_counts(f + 1), counts)
+    sampled = sample_placement(cfg, 1000, seed=6)
+    assert np.array_equal(sampled.bit_labels, labels)
+    for placement in (sampled, PlacementRealization(cfg, 1000, None, labels, None)):
+        for f, counts in enumerate(want):
+            assert np.array_equal(placement.cell_counts(f + 1), counts)
 
 
 def test_cell_counts_refuse_a_label_outside_the_network():
@@ -636,10 +640,11 @@ _MUS = st.sampled_from([0.0, 0.3, 0.6, 1.0])
 _SIZES = [1, 7, 8, 9, *(k * _LABEL_CHUNK_BITS + d for k in (1, 2) for d in (-1, 1))]
 
 
-# 4, 10 and 18 nodes: 8-, 16- and 32-bit labels.
+# 4, 10 and 18 nodes: 8-, 16- and 32-bit labels; sides of 8 and 16 edge nodes
+# end on the packer's 8-node block edges.
 @settings(max_examples=40, deadline=None)
 @given(
-    shape=st.sampled_from([(2, 2), (5, 5), (9, 9)]),
+    shape=st.sampled_from([(2, 2), (5, 5), (9, 9), (8, 3), (16, 2)]),
     size=st.sampled_from(_SIZES),
     workers=st.integers(1, 4),
     mu_t=_MUS,
@@ -652,6 +657,62 @@ def test_worker_count_changes_no_byte(shape, size, workers, mu_t, mu_r, seed):
     labels, bits = _serial_reference(cfg, size, seed)
     assert np.array_equal(got.bit_labels, labels)
     assert np.array_equal(got.file_bits, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=st.one_of(st.sampled_from([7, 8, 9, 16, 17]), st.integers(1, 28)),
+    n=st.integers(1, 40),
+    shift=st.sampled_from([0, 2]),
+    seed=st.integers(0, 2**32),
+)
+def test_packed_hits_match_one_or_per_node(nodes, n, shift, seed):
+    rng = np.random.default_rng(seed)
+    hits = rng.integers(0, 2, size=(n, nodes)).astype(bool)
+    # Every byte after the hits is nonzero, and so are the next bit's within a word.
+    buffer = np.ones(n * nodes + 8, dtype=bool)
+    buffer[: n * nodes] = hits.ravel()
+    # The OR keeps the bits below the shift.
+    out = rng.integers(0, 1 << shift, size=n, dtype=np.uint32)
+    want = out.copy()
+    for k in range(nodes):
+        want |= hits[:, k].astype(np.uint32) << np.uint32(shift + k)
+    placement_mod._pack_hits(buffer, nodes, shift, np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint32), out)
+    assert np.array_equal(out, want)
+
+
+_COUNTED_AT_DRAW = [((2, 2), 15), ((2, 2), 16), ((2, 2), 17)] + [
+    ((8, 7), _LABEL_CHUNK_BITS + d) for d in (-1, 0, 1)  # 2^15 entries per table
+] + [((8, 8), _LABEL_CHUNK_BITS + 1), ((5, 5), 2 * _LABEL_CHUNK_BITS + 3)]
+
+
+@pytest.mark.parametrize(("shape", "size"), _COUNTED_AT_DRAW)
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_sampled_count_tables_match_a_bincount_of_the_labels(shape, size, workers):
+    cfg = make_cfg(nt=shape[0], nr=shape[1], mu_t=0.3, mu_r=0.6)
+    table_size = 1 << (cfg.num_ues + cfg.num_ens)
+    placement = sample_placement(cfg, size, seed=size, _workers=workers)
+    # The draw counts exactly when a table is no larger than a file.
+    assert len(placement._counts) == (cfg.num_files if table_size <= size else 0)
+    for f, labels in enumerate(placement.bit_labels):
+        counts = placement.cell_counts(f + 1)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(labels, minlength=table_size))
+        counts[:] = -1  # a fresh array: the table it came from is unchanged
+        assert np.array_equal(placement.cell_counts(f + 1), np.bincount(labels, minlength=table_size))
+
+
+def test_sample_refuses_count_tables_it_cannot_allocate(monkeypatch):
+    zeros = np.zeros
+
+    def no_tables(shape, dtype=float, **kwargs):
+        if np.dtype(dtype) == np.int64:
+            raise MemoryError
+        return zeros(shape, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_tables)
+    with pytest.raises(ValueError, match="file_size_bits too large to allocate: 64"):
+        sample_placement(make_cfg(), 64, 1)
 
 
 def test_more_workers_than_cores_under_fast_switching_match_the_serial_draw():

@@ -370,6 +370,19 @@ def test_structure_helpers_refuse_malformed_input():
     assert coop_sets_for((), 3, cfg) == [(1, 2, 3)]
 
 
+@pytest.mark.parametrize("en_set", [[2], [], range(1, 2), "2", 2, np.array([2])])
+def test_coop_sets_refuse_a_cache_set_that_is_no_tuple(en_set):
+    with pytest.raises(ValueError, match="edge-node cache set"):
+        coop_sets_for(en_set, 1, make_cfg(nt=3, nr=3))
+
+
+@pytest.mark.parametrize("mode", ["bogus", "", None, "CODED_MULTICAST", "naive"])
+def test_fronthaul_payloads_refuse_an_unknown_mode(mode):
+    with pytest.raises(ValueError, match="unknown fronthaul mode"):
+        fronthaul_payloads((1, 2, 3), 1, mode)
+    assert fronthaul_payloads((1, 2, 3), 1, CODED_MULTICAST) == [((1,), (2,)), ((1,), (3,)), ((2,), (3,))]
+
+
 def test_structures_are_plain_named_tuples_in_reference_order():
     for nt, nr in itertools.product(range(2, 6), repeat=2):
         cfg = make_cfg(nt=nt, nr=nr)
