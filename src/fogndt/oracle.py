@@ -185,8 +185,7 @@ def execute_schedule(
 
     The schedule stage checks the plan on its index sets, then the count stage reads one
     count table per distinct demanded file (:meth:`PlacementRealization.cell_counts`,
-    ``2^(n_r + n_t)`` entries, counted by the placement's draw when no larger than a file,
-    else on first read), so the report reads no payload bit and builds no sorted cell
+    ``2^(n_r + n_t)`` entries), so the report reads no payload bit and builds no sorted cell
     index.  With ``record_payloads`` every payload is also built from
     :meth:`PlacementRealization.cell_indices` and kept."""
     cfg = schedule.cfg

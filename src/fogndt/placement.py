@@ -8,8 +8,7 @@ expected fraction is the closed product form returned by
 :func:`fractional_size`.  Cache-size budgets therefore hold in expectation
 rather than per realization.  Only the labels decide a delivery's cost, so a
 seeded realization holds its labels alone and draws its file contents from
-the seed when they are first read, and, when a file's count table is no
-larger than the file, its count table as the sampling threads draw it.
+the seed when they are first read.
 """
 from __future__ import annotations
 
@@ -98,8 +97,7 @@ class PlacementRealization:
     (else ValueError naming the first bad file and its label) stored in
     ``_label_type(cfg)``, and contents are 0s and 1s stored as uint8, so
     readers trust them.  :meth:`cell_counts` is a file's bits per label, one
-    table of ``2^(num_ues + num_ens)`` entries, kept once counted: by the draw
-    when the table is no larger than a file, else on its first read;
+    table of ``2^(num_ues + num_ens)`` entries, counted anew on each call;
     :meth:`cell_indices` is a file's sorted index for bit-level work, built
     when first asked for and cached.  Instances are immutable and compare by identity.
     """
@@ -131,7 +129,6 @@ class PlacementRealization:
             f = int(bad.argmax())
             raise ValueError(f"file {f + 1} holds a label outside the network: {hi[f] if hi[f] > top else lo[f]}")
         object.__setattr__(self, "bit_labels", labels.astype(label_type, copy=False))
-        object.__setattr__(self, "_counts", {})  # file row -> count table, once counted
 
     @cached_property
     def file_bits(self) -> np.ndarray:
@@ -154,16 +151,20 @@ class PlacementRealization:
         return self._cells[row]
 
     def cell_counts(self, file_id: int) -> np.ndarray:
-        """How many bits of one file carry each packed label, a fresh int64 array.
+        """How many bits of one file carry each packed label, as int64.
 
-        The draw's table, else counted by :func:`_count_labels` on the first
-        call.  Construction has put every label inside the table.
+        ``bincount`` copies its input to intp, so labels are counted in pieces
+        of ``_LABEL_CHUNK_BITS`` bits, or of the table's ``2^(num_ues +
+        num_ens)`` entries if more: no int64 copy of a file's labels is made.
+        Construction has put every label inside the table.
         """
-        row = self._row(file_id)
-        if row not in self._counts:
-            table = np.zeros(1 << (self.cfg.num_ues + self.cfg.num_ens), dtype=np.int64)
-            self._counts[row] = _count_labels(self.bit_labels[row], table)
-        return self._counts[row].copy()
+        labels = self.bit_labels[self._row(file_id)]
+        size = 1 << (self.cfg.num_ues + self.cfg.num_ens)
+        step = max(size, _LABEL_CHUNK_BITS)
+        table = np.zeros(size, dtype=np.int64)
+        for a in range(0, labels.size, step):
+            table += np.bincount(labels[a : a + step], minlength=size)
+        return table
 
     def _row(self, file_id: int) -> int:
         if not 1 <= file_id <= self.cfg.num_files:
@@ -181,52 +182,43 @@ def sample_placement(
     by a sampled or a replayed realization alike.  The label stream is read
     by position, so the draw is split over the CPUs the process may run on,
     at most one per ``_LABEL_CHUNK_BITS`` bits, without changing a byte.
-    A count table no larger than a file is summed from the shares' counts.
     ``_workers`` sets the split, for tests.
     """
     file_size_bits = _exact_int(file_size_bits, "file_size_bits", "a positive integer", 1)
     seed = _exact_int(seed, "seed", "a non-negative integer", 0)
     label_type = _label_type(cfg)
     _, label_ss = np.random.SeedSequence(seed).spawn(2)
-    table_size = 1 << (cfg.num_ues + cfg.num_ens)
     try:
         labels = np.zeros((cfg.num_files, file_size_bits), dtype=label_type)
-        tables = np.zeros((cfg.num_files if table_size <= file_size_bits else 0, table_size), dtype=np.int64)
     except MemoryError:
         raise ValueError(f"file_size_bits too large to allocate: {file_size_bits}") from None
     total = labels.size
     workers = _workers or max(1, min(_cpu_count(), total // _LABEL_CHUNK_BITS))
     cuts = [total * w // workers for w in range(workers)] + [total]
-    parts = _run_joined(
+    _run_joined(
         [partial(_draw_share, cfg, label_ss, labels, start, stop) for start, stop in zip(cuts, cuts[1:])]
     )
-    for start, part in zip(cuts, parts):
-        tables[start // file_size_bits :][: len(part)] += part
-    placement = PlacementRealization(cfg, file_size_bits, seed, labels, None)
-    placement._counts.update(enumerate(tables))
-    return placement
+    return PlacementRealization(cfg, file_size_bits, seed, labels, None)
 
 
 def _draw_share(
     cfg: NetworkConfig, label_ss: np.random.SeedSequence, labels: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """Labels of the flat (file, bit) positions [start, stop), and the count tables of the files
-    they touch if a table is no larger than a file, else none.  Both sides of a bit are drawn in
-    one share, since both OR into its label; a file's range is counted once both are."""
+) -> None:
+    """Labels of the flat (file, bit) positions [start, stop).
+
+    Both sides of a bit are drawn in one share, since both OR into its label.
+    """
     size = labels.shape[1]
     per_file = size * (cfg.num_ues + cfg.num_ens)
     bitgen = np.random.PCG64(label_ss)
     rng = np.random.Generator(bitgen)
     position = 0
-    files = range(start // size, -(-stop // size))
-    table_size = 1 << (cfg.num_ues + cfg.num_ens)
-    tables = np.zeros((len(files) if table_size <= size else 0, table_size), dtype=np.int64)
     most = min(stop - start, _LABEL_CHUNK_BITS)
     scratch = np.empty(most * max(cfg.num_ues, cfg.num_ens))
     # One byte per draw plus 8 of padding; spent doubles hold the packed words.
     hits, words = np.zeros(scratch.size + 8, dtype=bool), scratch.view(np.uint64)[:most]
     spare = scratch[most:].view(labels.dtype)[:most]
-    for f in files:
+    for f in range(start // size, -(-stop // size)):
         row = labels[f]
         lo, hi = max(start - f * size, 0), min(stop - f * size, size)
         # Per file, the label stream holds every bit's user doubles, then every
@@ -242,9 +234,6 @@ def _draw_share(
                 chunk = row[a : min(a + _LABEL_CHUNK_BITS, hi)]
                 np.less(rng.random(out=scratch[: chunk.size * nodes]), mu, out=hits[: chunk.size * nodes])
                 _pack_hits(hits, nodes, shift, words, spare, chunk)
-        if len(tables):
-            _count_labels(row[lo:hi], tables[f - files.start])
-    return tables
 
 
 def _pack_hits(hits: np.ndarray, nodes: int, shift: int, words: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
@@ -261,15 +250,6 @@ def _pack_hits(hits: np.ndarray, nodes: int, shift: int, words: np.ndarray, spar
         np.left_shift(np.right_shift(word, 56, out=word), shift + b, out=word)
         np.copyto(spare, word, casting="unsafe")
         out |= spare
-
-
-def _count_labels(labels: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Add to ``table`` how many ``labels`` carry each label and return it, counting pieces of
-    ``_LABEL_CHUNK_BITS`` bits or of the table's size if more: ``bincount`` copies each to intp."""
-    step = max(table.size, _LABEL_CHUNK_BITS)
-    for a in range(0, labels.size, step):
-        table += np.bincount(labels[a : a + step], minlength=table.size)
-    return table
 
 
 def _draw_contents(seed: int, shape: tuple[int, int]) -> np.ndarray:
@@ -290,17 +270,16 @@ def _draw_contents(seed: int, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _run_joined(tasks: list) -> list:
-    """Run the first task in this thread and each other one in its own thread; their results.
+def _run_joined(tasks: list) -> None:
+    """Run the first task in this thread and each other one in its own thread.
 
     Every thread is joined before the first failure, in task order, is raised.
     """
     errors: list[BaseException | None] = [None] * len(tasks)
-    results = errors.copy()
 
     def run(k: int) -> None:
         try:
-            results[k] = tasks[k]()
+            tasks[k]()
         except BaseException as exc:
             errors[k] = exc
 
@@ -313,7 +292,6 @@ def _run_joined(tasks: list) -> list:
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
 
 
 def _cpu_count() -> int:

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,16 +448,12 @@ def test_cell_index_matches_reference_partition(shape, data):
 
 def test_cell_counts_add_up_over_pieces(monkeypatch):
     cfg = make_cfg(nt=2, nr=2)
-    labels = sample_placement(cfg, 1000, seed=6).bit_labels
-    want = [np.bincount(row, minlength=16) for row in labels]
-    # Pieces of 16 bits, the table's size, as counting never takes fewer: the
-    # draw counts a sampled placement, the first read a hand-built one.
+    placement = sample_placement(cfg, 1000, seed=6)
+    want = [np.bincount(labels, minlength=16) for labels in placement.bit_labels]
+    # Pieces of 16 bits, the table's size, as counting never takes fewer.
     monkeypatch.setattr(placement_mod, "_LABEL_CHUNK_BITS", 5)
-    sampled = sample_placement(cfg, 1000, seed=6)
-    assert np.array_equal(sampled.bit_labels, labels)
-    for placement in (sampled, PlacementRealization(cfg, 1000, None, labels, None)):
-        for f, counts in enumerate(want):
-            assert np.array_equal(placement.cell_counts(f + 1), counts)
+    for f, counts in enumerate(want):
+        assert np.array_equal(placement.cell_counts(f + 1), counts)
 
 
 def test_cell_counts_refuse_a_label_outside_the_network():
@@ -681,38 +678,45 @@ def test_packed_hits_match_one_or_per_node(nodes, n, shift, seed):
     assert np.array_equal(out, want)
 
 
-_COUNTED_AT_DRAW = [((2, 2), 15), ((2, 2), 16), ((2, 2), 17)] + [
-    ((8, 7), _LABEL_CHUNK_BITS + d) for d in (-1, 0, 1)  # 2^15 entries per table
+# Tables of 16 entries beside files of 15-17 bits, of 2^15 entries beside files
+# of about one chunk, and files past one and two chunks.
+_COUNTED = [((2, 2), 15), ((2, 2), 16), ((2, 2), 17)] + [
+    ((8, 7), _LABEL_CHUNK_BITS + d) for d in (-1, 0, 1)
 ] + [((8, 8), _LABEL_CHUNK_BITS + 1), ((5, 5), 2 * _LABEL_CHUNK_BITS + 3)]
 
 
-@pytest.mark.parametrize(("shape", "size"), _COUNTED_AT_DRAW)
+@pytest.mark.parametrize(("shape", "size"), _COUNTED)
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_sampled_count_tables_match_a_bincount_of_the_labels(shape, size, workers):
     cfg = make_cfg(nt=shape[0], nr=shape[1], mu_t=0.3, mu_r=0.6)
     table_size = 1 << (cfg.num_ues + cfg.num_ens)
     placement = sample_placement(cfg, size, seed=size, _workers=workers)
-    # The draw counts exactly when a table is no larger than a file.
-    assert len(placement._counts) == (cfg.num_files if table_size <= size else 0)
     for f, labels in enumerate(placement.bit_labels):
         counts = placement.cell_counts(f + 1)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(labels, minlength=table_size))
-        counts[:] = -1  # a fresh array: the table it came from is unchanged
+        counts[:] = -1  # a fresh array: the next call is unchanged
         assert np.array_equal(placement.cell_counts(f + 1), np.bincount(labels, minlength=table_size))
 
 
-def test_sample_refuses_count_tables_it_cannot_allocate(monkeypatch):
-    zeros = np.zeros
-
-    def no_tables(shape, dtype=float, **kwargs):
-        if np.dtype(dtype) == np.int64:
-            raise MemoryError
-        return zeros(shape, dtype, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", no_tables)
-    with pytest.raises(ValueError, match="file_size_bits too large to allocate: 64"):
-        sample_placement(make_cfg(), 64, 1)
+def test_sampling_allocates_the_labels_and_one_scratch_per_share():
+    # 8x7 @ 2^15 bits: a count table as large as a file, so kept or per-chunk
+    # tables would show, as would a temporary per chunk or per node.
+    cfg = make_cfg(nt=8, nr=7, mu_t=0.3, mu_r=0.6)
+    size, workers = _LABEL_CHUNK_BITS, 2
+    labels = cfg.num_files * size * _label_type(cfg).itemsize
+    # Per share: one double and one hit byte per draw of the wider side over at
+    # most a chunk of bits.
+    most = min(cfg.num_files * size // workers, _LABEL_CHUNK_BITS)
+    scratch = workers * most * max(cfg.num_ues, cfg.num_ens) * 9
+    sample_placement(cfg, size, seed=3, _workers=workers)  # modules and threads start untraced
+    tracemalloc.start()
+    try:
+        sample_placement(cfg, size, seed=3, _workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= labels + scratch + 128 * 1024
 
 
 def test_more_workers_than_cores_under_fast_switching_match_the_serial_draw():
