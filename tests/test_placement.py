@@ -686,11 +686,10 @@ _COUNTED = [((2, 2), 15), ((2, 2), 16), ((2, 2), 17)] + [
 
 
 @pytest.mark.parametrize(("shape", "size"), _COUNTED)
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_sampled_count_tables_match_a_bincount_of_the_labels(shape, size, workers):
+def test_cell_counts_match_a_bincount_of_the_labels(shape, size):
     cfg = make_cfg(nt=shape[0], nr=shape[1], mu_t=0.3, mu_r=0.6)
     table_size = 1 << (cfg.num_ues + cfg.num_ens)
-    placement = sample_placement(cfg, size, seed=size, _workers=workers)
+    placement = sample_placement(cfg, size, seed=size)
     for f, labels in enumerate(placement.bit_labels):
         counts = placement.cell_counts(f + 1)
         assert counts.dtype == np.int64
@@ -700,8 +699,8 @@ def test_sampled_count_tables_match_a_bincount_of_the_labels(shape, size, worker
 
 
 def test_sampling_allocates_the_labels_and_one_scratch_per_share():
-    # 8x7 @ 2^15 bits: a count table as large as a file, so kept or per-chunk
-    # tables would show, as would a temporary per chunk or per node.
+    # 8x7 @ 2^15 bits: a count table is as large as a file, so a table held
+    # per file would show, as would a temporary per chunk or per node.
     cfg = make_cfg(nt=8, nr=7, mu_t=0.3, mu_r=0.6)
     size, workers = _LABEL_CHUNK_BITS, 2
     labels = cfg.num_files * size * _label_type(cfg).itemsize
@@ -709,7 +708,7 @@ def test_sampling_allocates_the_labels_and_one_scratch_per_share():
     # most a chunk of bits.
     most = min(cfg.num_files * size // workers, _LABEL_CHUNK_BITS)
     scratch = workers * most * max(cfg.num_ues, cfg.num_ens) * 9
-    sample_placement(cfg, size, seed=3, _workers=workers)  # modules and threads start untraced
+    sample_placement(cfg, size, seed=3, _workers=workers)  # numpy.random loads outside the trace
     tracemalloc.start()
     try:
         sample_placement(cfg, size, seed=3, _workers=workers)
